@@ -975,7 +975,7 @@ func BenchmarkServerRepeatedWorkload(b *testing.B) {
 	round := func(b *testing.B, h http.Handler, wl *workload.Workload) {
 		for _, q := range wl.Queries {
 			body, _ := json.Marshal(map[string]string{"query": q.Text})
-			req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
+			req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != 200 {
@@ -1001,7 +1001,7 @@ func BenchmarkServerRepeatedWorkload(b *testing.B) {
 		b.StopTimer()
 		query := func(text string) (cached bool, generation int64) {
 			body, _ := json.Marshal(map[string]string{"query": text})
-			req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
+			req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			var out struct {
@@ -1020,7 +1020,7 @@ func BenchmarkServerRepeatedWorkload(b *testing.B) {
 		// and a duplicate insert would be a no-op that bumps nothing.
 		benchFreshnessSeq++
 		up := fmt.Sprintf(`{"insert": "<http://dbpedia.org/resource/BenchCity%d> <http://dbpedia.org/property/population> \"12345\"^^<http://www.w3.org/2001/XMLSchema#integer> ."}`, benchFreshnessSeq)
-		req := httptest.NewRequest("POST", "/update", bytes.NewReader([]byte(up)))
+		req := httptest.NewRequest("POST", "/v1/update", bytes.NewReader([]byte(up)))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {
@@ -1045,7 +1045,7 @@ func BenchmarkTracedQueryOverhead(b *testing.B) {
 	round := func(b *testing.B, h http.Handler, wl *workload.Workload) {
 		for _, q := range wl.Queries {
 			body, _ := json.Marshal(map[string]string{"query": q.Text})
-			req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
+			req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != 200 {

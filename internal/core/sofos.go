@@ -197,19 +197,21 @@ func (s *System) Reset() { s.Catalog.Reset() }
 
 // Answer answers one analytical query through the online module.
 func (s *System) Answer(q *sparql.Query) (*rewrite.Answer, error) {
-	return s.Rewriter.Answer(q)
+	return s.AnswerObserved(q, 0, obs.SpanHandle{})
 }
 
 // AnswerWithWorkers answers one query with an explicit intra-query worker
 // bound, overriding the system default. 0 falls back to the system's
-// workers; the serving layer uses this for per-request admission control.
+// workers.
 func (s *System) AnswerWithWorkers(q *sparql.Query, workers int) (*rewrite.Answer, error) {
 	return s.AnswerObserved(q, workers, obs.SpanHandle{})
 }
 
-// AnswerObserved is AnswerWithWorkers with a parent trace span: the rewrite
-// decision, engine partitions, and aggregate merge record themselves under
-// sp. The zero handle disables tracing.
+// AnswerObserved is the one answer path every Answer variant calls: an
+// explicit worker bound (0 = the system's workers) and a parent trace span
+// the rewrite decision, engine partitions, and aggregate merge record
+// themselves under. The zero handle disables tracing; the serving layer
+// passes each request's root span and capped worker count.
 func (s *System) AnswerObserved(q *sparql.Query, workers int, sp obs.SpanHandle) (*rewrite.Answer, error) {
 	if workers <= 0 {
 		workers = s.Workers
@@ -235,7 +237,7 @@ func (s *System) AnswerString(src string) (*rewrite.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Answer(q)
+	return s.AnswerObserved(q, 0, obs.SpanHandle{})
 }
 
 // GenerateWorkload builds a random workload over the system's facet.
@@ -270,40 +272,20 @@ func (r *WorkloadReport) HitRate() float64 {
 	return float64(r.ViewHits) / float64(len(r.PerQuery))
 }
 
-// RunWorkload answers every workload query against the current catalog state
-// and collects per-query outcomes — the "Query performance analyzer" panel.
+// RunWorkload answers every workload query, one at a time, against the
+// current catalog state and collects per-query outcomes — the "Query
+// performance analyzer" panel.
 func (s *System) RunWorkload(w *workload.Workload) (*WorkloadReport, error) {
-	rep := &WorkloadReport{Workers: s.Workers}
-	for i, q := range w.Queries {
-		ans, err := s.Answer(q.Parsed)
-		if err != nil {
-			return nil, fmt.Errorf("core: workload query %d: %w", i, err)
-		}
-		if ans.UsedView() {
-			rep.ViewHits++
-		}
-		rep.Timing.Add(ans.Elapsed)
-		rep.PerQuery = append(rep.PerQuery, QueryOutcome{
-			Index:      i,
-			Text:       q.Text,
-			Via:        ans.ViaLabel(),
-			Reason:     ans.Reason,
-			Rows:       len(ans.Result.Rows),
-			Partitions: ans.Result.Stats.Partitions,
-			Elapsed:    ans.Elapsed,
-		})
-	}
-	return rep, nil
+	return s.RunWorkloadParallel(w, 1)
 }
 
 // RunWorkloadParallel answers the workload with the given number of
-// concurrent workers. The catalog is read-only during a run (the store
-// supports concurrent readers), so this measures the system's multi-client
-// throughput. Results are in workload order, as with RunWorkload.
+// concurrent workers (values below 1 run serially). The catalog is
+// read-only during a run (the store supports concurrent readers), so this
+// measures the system's multi-client throughput. Results are in workload
+// order at any worker count.
 func (s *System) RunWorkloadParallel(w *workload.Workload, workers int) (*WorkloadReport, error) {
-	if workers <= 1 {
-		return s.RunWorkload(w)
-	}
+	workers = max(workers, 1)
 	type slot struct {
 		outcome QueryOutcome
 		err     error

@@ -192,17 +192,21 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
-func (f *family) series(labels []Label) (*series, bool) {
+// series returns the series for labels, creating it on first use. init
+// fills a new series' value under the family lock, before any scrape or
+// concurrent lookup can see it.
+func (f *family) series(labels []Label, init func(*series)) *series {
 	key := labelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.byKey[key]; ok {
-		return s, false
+		return s
 	}
 	s := &series{labels: append([]Label(nil), labels...)}
+	init(s)
 	f.byKey[key] = s
 	f.order = append(f.order, s)
-	return s, true
+	return s
 }
 
 // Counter returns the counter series for name + labels, creating it on
@@ -212,11 +216,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	f := r.family(name, help, "counter", nil, false)
-	s, fresh := f.series(labels)
-	if fresh {
-		s.c = new(Counter)
-	}
-	return s.c
+	return f.series(labels, func(s *series) { s.c = new(Counter) }).c
 }
 
 // Gauge returns the gauge series for name + labels, creating it on first
@@ -226,11 +226,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 		return nil
 	}
 	f := r.family(name, help, "gauge", nil, false)
-	s, fresh := f.series(labels)
-	if fresh {
-		s.g = new(Gauge)
-	}
-	return s.g
+	return f.series(labels, func(s *series) { s.g = new(Gauge) }).g
 }
 
 // Histogram returns the histogram series for name + labels. buckets are
@@ -245,11 +241,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		buckets = LatencyBuckets
 	}
 	f := r.family(name, help, "histogram", buckets, false)
-	s, fresh := f.series(labels)
-	if fresh {
+	return f.series(labels, func(s *series) {
 		s.h = &Histogram{upper: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
-	}
-	return s.h
+	}).h
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
@@ -259,9 +253,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 		return
 	}
 	f := r.family(name, help, "counter", nil, true)
-	if s, fresh := f.series(labels); fresh {
-		s.fn = fn
-	}
+	f.series(labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at scrape
@@ -271,9 +263,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 		return
 	}
 	f := r.family(name, help, "gauge", nil, true)
-	if s, fresh := f.series(labels); fresh {
-		s.fn = fn
-	}
+	f.series(labels, func(s *series) { s.fn = fn })
 }
 
 // OnCollect registers a hook run at the start of every scrape, before

@@ -175,34 +175,28 @@ func (r *Rewriter) chooseView(required facet.Mask, sp obs.SpanHandle) (*views.Ma
 // Answer answers q, preferring materialized views, with the catalog's
 // default engine options.
 func (r *Rewriter) Answer(q *sparql.Query) (*Answer, error) {
-	return r.answer(q, r.catalog.BaseEngine(), r.catalog.ExpandedEngine(), obs.SpanHandle{})
+	return r.AnswerWith(q, r.catalog.EngineOptions())
 }
 
-// AnswerWith is Answer with an explicit worker bound, so a serving layer
-// can cap one request's intra-query parallelism independently of the
-// catalog-wide default. All other engine options (e.g. join-order
-// ablation) are inherited from the catalog. Engines are stateless handles
-// over the graphs, so building a pair per call costs nothing.
+// AnswerWith runs the rewriting pipeline with an explicit worker bound and
+// trace span, so a serving layer can cap one request's intra-query
+// parallelism independently of the catalog-wide default and record the
+// rewrite decision under opts.Span (zero handle = tracing off). All other
+// engine options (e.g. join-order ablation) are inherited from the catalog.
+// Engines are stateless handles over the graphs, so building one per call
+// costs nothing.
 func (r *Rewriter) AnswerWith(q *sparql.Query, opts engine.Options) (*Answer, error) {
+	sp := opts.Span
 	merged := r.catalog.EngineOptions()
 	merged.Workers = opts.Workers
-	merged.Span = opts.Span
-	return r.answer(q,
-		engine.NewWithOptions(r.catalog.Base(), merged),
-		engine.NewWithOptions(r.catalog.Expanded(), merged),
-		opts.Span)
-}
-
-// answer runs the rewriting pipeline against the given base/expanded engines,
-// recording the rewrite decision on sp (zero handle = tracing off).
-func (r *Rewriter) answer(q *sparql.Query, baseEng, expEng *engine.Engine, sp obs.SpanHandle) (*Answer, error) {
+	merged.Span = sp
 	start := time.Now()
 	anSp := sp.Child("rewrite.analyze")
 	an := r.analyze(q)
 	if an.reason != "" {
 		anSp.Attr("reason", an.reason)
 		anSp.End()
-		return r.answerBase(q, an.reason, start, baseEng, sp)
+		return r.answerBase(q, an.reason, start, merged)
 	}
 	anSp.End()
 	chSp := sp.Child("rewrite.choose_view")
@@ -210,7 +204,7 @@ func (r *Rewriter) answer(q *sparql.Query, baseEng, expEng *engine.Engine, sp ob
 	if !ok {
 		chSp.Attr("chosen", "none")
 		chSp.End()
-		return r.answerBase(q, "no materialized view covers the query dimensions", start, baseEng, sp)
+		return r.answerBase(q, "no materialized view covers the query dimensions", start, merged)
 	}
 	outcome := obs.OutcomePartialRollup
 	if mat.View().Mask == an.groupMask {
@@ -226,7 +220,7 @@ func (r *Rewriter) answer(q *sparql.Query, baseEng, expEng *engine.Engine, sp ob
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: translating %s: %w", mat.View(), err)
 	}
-	res, err := expEng.Execute(rq)
+	res, err := engine.NewWithOptions(r.catalog.Expanded(), merged).Execute(rq)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: executing rewritten query: %w", err)
 	}
@@ -246,10 +240,10 @@ func (r *Rewriter) answer(q *sparql.Query, baseEng, expEng *engine.Engine, sp ob
 }
 
 // answerBase executes q on the base graph G.
-func (r *Rewriter) answerBase(q *sparql.Query, reason string, start time.Time, baseEng *engine.Engine, sp obs.SpanHandle) (*Answer, error) {
-	bSp := sp.Child("rewrite.base_scan")
+func (r *Rewriter) answerBase(q *sparql.Query, reason string, start time.Time, opts engine.Options) (*Answer, error) {
+	bSp := opts.Span.Child("rewrite.base_scan")
 	bSp.Attr("reason", reason)
-	res, err := baseEng.Execute(q)
+	res, err := engine.NewWithOptions(r.catalog.Base(), opts).Execute(q)
 	bSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: base execution: %w", err)

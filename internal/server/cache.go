@@ -9,7 +9,7 @@ import (
 )
 
 // resultCache is a sharded LRU over rendered query responses. Keys embed the
-// catalog generation and view-set hash (see Server.cacheKey), so a write
+// catalog generation and view-set hash (see core.GenerationState), so a write
 // never serves a stale entry: it bumps the generation, every later lookup
 // uses a new key, and the orphaned entries age out of the LRU naturally.
 // Sharding keeps the per-lookup critical section off the contended path when
@@ -87,33 +87,15 @@ func (c *resultCache) shard(key string) *cacheShard {
 // get returns the cached body for key, promoting it to most recent and
 // counting a hit or miss.
 func (c *resultCache) get(key string) ([]byte, bool) {
-	body, ok := c.lookup(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return body, ok
-}
-
-// recheck is get for the second lookup of one request (after admission):
-// a hit still counts, but a miss was already counted by the fast path.
-func (c *resultCache) recheck(key string) ([]byte, bool) {
-	body, ok := c.lookup(key)
-	if ok {
-		c.hits.Add(1)
-	}
-	return body, ok
-}
-
-func (c *resultCache) lookup(key string) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
 	if !ok {
+		c.misses.Add(1)
 		return nil, false
 	}
+	c.hits.Add(1)
 	s.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }

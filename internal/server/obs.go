@@ -257,9 +257,10 @@ func toWireSpans(spans []obs.Span) []api.TraceSpan {
 	return out
 }
 
-// instrument wraps a handler with per-endpoint request accounting. The
-// endpoint label is the canonical /v1 path, shared by its deprecated alias —
-// URL cardinality never leaks into label space. No-op when obs is disabled.
+// instrument wraps a handler with per-endpoint request accounting, reading
+// the status code from the request's respWriter. The endpoint label is the
+// canonical path under /v1 — URL cardinality never leaks into label space.
+// No-op when obs is disabled.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	if s.obs == nil {
 		return h
@@ -270,44 +271,16 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		obs.Label{Key: "endpoint", Value: endpoint})
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		code := sw.status
-		if code == 0 {
-			code = http.StatusOK
+		h(w, r)
+		code := http.StatusOK
+		if rw, ok := w.(*respWriter); ok && rw.status != 0 {
+			code = rw.status
 		}
 		reg.Counter("sofos_http_requests_total",
 			"Requests served, by endpoint and status code.",
 			obs.Label{Key: "endpoint", Value: endpoint},
 			obs.Label{Key: "code", Value: strconv.Itoa(code)}).Inc()
 		hist.ObserveSince(start)
-	}
-}
-
-// statusWriter records the status code a handler wrote. It forwards Flush so
-// the /v1/wal NDJSON stream keeps pushing lines through the wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
 	}
 }
 

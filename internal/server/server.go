@@ -3,10 +3,8 @@
 // loop — /v1/query answers analytical queries through the rewriter (so
 // materialized views are used transparently), /v1/update applies batched
 // inserts and deletes, /v1/views lists and manages materializations, and
-// /v1/stats reports serving and cache health. The legacy unversioned paths
-// remain as thin aliases that serve identical bodies plus a Deprecation
-// header naming the successor. Request and response bodies are the typed
-// structs of internal/api; every non-200 response is the uniform
+// /v1/stats reports serving and cache health. Request and response bodies
+// are the typed structs of internal/api; every non-200 response is the uniform
 // {"error":{"code","message"}} envelope, and every response carries an
 // X-Sofos-Generation header so clients can track the catalog generation they
 // have observed.
@@ -14,15 +12,16 @@
 // Concurrency model (snapshot-chain MVCC): the server publishes immutable
 // generations through core.Chain — an atomic pointer to a
 // {system, generation, view-set hash, cache-key prefix} snapshot. A query
-// loads the pointer once and answers entirely against that snapshot, so
-// readers are wait-free: they never take a lock, never block each other,
-// and never block behind a writer, even mid-refresh. Writers (updates,
+// loads the pointer once and answers entirely against that snapshot — cache
+// probe, execution and the generation stamped in its body — so readers are
+// wait-free: they never take a lock, never block each other, and never
+// block behind a writer, even mid-refresh. Writers (updates,
 // materialize/drop/reset, refresh commits, replica apply) serialize on the
 // chain's writer mutex — which readers never touch — prepare the next
 // generation on a copy-on-write fork sharing every immutable run with the
 // published snapshot, and publish it with a single atomic store. Every
 // answer is therefore consistent with exactly one committed generation.
-// A global semaphore bounds concurrently executing queries (admission
+// A global semaphore bounds concurrently executing cache misses (admission
 // control), and a sharded LRU result cache keyed on (normalized query,
 // catalog generation, view-set hash) serves repeated queries without
 // re-execution while never returning a stale answer.
@@ -43,6 +42,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -60,7 +60,7 @@ import (
 	"sofos/internal/sparql"
 )
 
-// Server roles, advertised in /v1/stats and /healthz.
+// Server roles, advertised in /v1/stats and /v1/healthz.
 const (
 	RolePrimary = "primary"
 	RoleReplica = "replica"
@@ -71,10 +71,6 @@ type Config struct {
 	// MaxConcurrent bounds queries executing at once (admission control).
 	// Further requests queue until a slot frees. 0 means 2×GOMAXPROCS.
 	MaxConcurrent int
-
-	// MaxWorkers caps the per-request intra-query parallelism a client may
-	// ask for via the "workers" field. 0 means the system's worker count.
-	MaxWorkers int
 
 	// CacheEntries is the result cache capacity in entries. 0 means 4096;
 	// negative disables caching.
@@ -131,12 +127,9 @@ type Config struct {
 }
 
 // withDefaults resolves zero fields.
-func (c Config) withDefaults(sys *core.System) Config {
+func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = sys.Workers
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -180,7 +173,7 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 
-	queries atomic.Int64 // /query requests answered (including cache hits)
+	queries atomic.Int64 // /v1/query requests answered (including cache hits)
 	updates atomic.Int64 // /update batches applied
 
 	// dur is the durability wiring (nil = memory-only); lastCheckpoint and
@@ -209,7 +202,7 @@ type Server struct {
 
 // New wraps a system in a server with the given configuration.
 func New(sys *core.System, cfg Config) *Server {
-	cfg = cfg.withDefaults(sys)
+	cfg = cfg.withDefaults()
 	s := &Server{
 		chain:   core.NewChain(sys),
 		cfg:     cfg,
@@ -231,10 +224,8 @@ func New(sys *core.System, cfg Config) *Server {
 	if !cfg.ObsOff {
 		s.obs = newServerObs(s, cfg)
 	}
-	// The versioned route tree, with the legacy unversioned paths kept as
-	// thin deprecated aliases onto the same handlers. Both spellings share
-	// one instrumented handler, so the endpoint metric label is always the
-	// canonical path.
+	// Every endpoint lives under /v1, registered with its canonical path as
+	// the endpoint metric label.
 	for path, h := range map[string]http.HandlerFunc{
 		"/query":            s.handleQuery,
 		"/update":           s.handleUpdate,
@@ -242,69 +233,54 @@ func New(sys *core.System, cfg Config) *Server {
 		"/stats":            s.handleStats,
 		"/healthz":          s.handleHealthz,
 		"/admin/checkpoint": s.handleAdminCheckpoint,
+		"/wal":              s.handleWALStream,
+		"/checkpoint":       s.handleCheckpointArchive,
+		"/replica/ack":      s.handleReplicaAck,
+		"/metrics":          s.handleMetrics,
+		"/debug/queries":    s.handleDebugQueries,
 	} {
-		h = s.instrument(path, h)
-		s.mux.HandleFunc(api.Prefix+path, h)
-		s.mux.HandleFunc(path, deprecatedAlias(path, h))
+		s.mux.HandleFunc(api.Prefix+path, s.instrument(path, h))
 	}
-	// Replication and observability endpoints exist only under /v1 — they
-	// postdate the legacy surface.
-	s.mux.HandleFunc(api.Prefix+"/wal", s.instrument("/wal", s.handleWALStream))
-	s.mux.HandleFunc(api.Prefix+"/checkpoint", s.instrument("/checkpoint", s.handleCheckpointArchive))
-	s.mux.HandleFunc(api.Prefix+"/replica/ack", s.instrument("/replica/ack", s.handleReplicaAck))
-	s.mux.HandleFunc(api.Prefix+"/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc(api.Prefix+"/debug/queries", s.instrument("/debug/queries", s.handleDebugQueries))
 	return s
 }
 
-// deprecatedAlias wraps a /v1 handler for its legacy unversioned path:
-// identical behavior plus headers telling the client where to migrate.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	successor := api.Prefix + path
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.HeaderDeprecation, "true")
-		w.Header().Set("Link", link)
-		h(w, r)
-	}
-}
-
 // Handler returns the HTTP handler serving all endpoints. Every response is
-// stamped with the X-Sofos-Generation header (see genWriter).
+// stamped with the X-Sofos-Generation header (see respWriter).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.mux.ServeHTTP(&genWriter{ResponseWriter: w, srv: s}, r)
+		s.mux.ServeHTTP(&respWriter{ResponseWriter: w, srv: s}, r)
 	})
 }
 
-// genWriter stamps the catalog generation onto the response at header-flush
-// time — after the handler finished its critical section, so the advertised
-// generation is at least the one the body was computed at (the counter only
-// moves forward). It forwards Flush so the /v1/wal stream can push lines
-// through any buffering layers.
-type genWriter struct {
+// respWriter is the one wrapper around every response. It stamps the catalog
+// generation onto the response at header-flush time — after the handler
+// finished its critical section, so the advertised generation is at least
+// the one the body was computed at (the counter only moves forward) — and
+// records the status code for the per-endpoint request metrics. It forwards
+// Flush so the /v1/wal stream can push lines through any buffering layers.
+type respWriter struct {
 	http.ResponseWriter
-	srv   *Server
-	wrote bool
+	srv    *Server
+	status int // 0 until the header is written
 }
 
-func (w *genWriter) WriteHeader(status int) {
-	if !w.wrote {
-		w.wrote = true
+func (w *respWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
 		w.Header().Set(api.HeaderGeneration,
 			strconv.FormatInt(w.srv.chain.Load().Generation, 10))
 	}
 	w.ResponseWriter.WriteHeader(status)
 }
 
-func (w *genWriter) Write(b []byte) (int, error) {
-	if !w.wrote {
+func (w *respWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
 		w.WriteHeader(http.StatusOK)
 	}
 	return w.ResponseWriter.Write(b)
 }
 
-func (w *genWriter) Flush() {
+func (w *respWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -325,12 +301,13 @@ func (s *Server) Chain() *core.Chain { return s.chain }
 // Role returns RolePrimary or RoleReplica.
 func (s *Server) Role() string { return s.role }
 
-// handleQuery answers one analytical query, consulting the result cache
-// first. Admission: cache hits bypass the semaphore (they execute nothing);
-// misses wait for an execution slot. On a replica, a request whose
-// X-Sofos-Min-Generation is ahead of the applied state first waits briefly
-// for the replication stream and then redirects to the primary, preserving
-// read-your-writes for clients that funnel writes there.
+// handleQuery answers one analytical query. After the replica gate (a
+// replica holds a request whose X-Sofos-Min-Generation is ahead of its
+// applied state briefly, then redirects to the primary) it pins one
+// published generation and answers entirely against it: the result cache is
+// probed once under that generation's key, a miss takes an admission slot
+// and executes, and every exit is recorded at one finish point before the
+// response is written.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.QueryRequest
 	switch r.Method {
@@ -368,8 +345,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Tracing: every query gets a trace id — caller-supplied via the
-	// X-Sofos-Trace-Id header or freshly generated — echoed back on the
+	// Tracing: every query gets a trace id — the caller's X-Sofos-Trace-Id
+	// when it is well formed, a fresh one otherwise — echoed back on the
 	// response so clients correlate across primary and replica. ?trace=1
 	// additionally returns the span tree in the body; such a request
 	// bypasses the cache entirely (cached bodies carry no spans, and a
@@ -381,7 +358,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	if s.obs != nil {
 		id := r.Header.Get(api.HeaderTraceID)
-		if id == "" {
+		if !validTraceID(id) {
 			id = obs.NewTraceID()
 		}
 		w.Header().Set(api.HeaderTraceID, id)
@@ -390,95 +367,79 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		root = tr.Span("query")
 	}
 
-	// Fast path: serve from the cache against the published generation. The
-	// key embeds the generation and view-set hash, so an entry stored under
-	// an older state simply misses — no lock needed for correctness.
+	// Pin one published generation: the snapshot is immutable, so no lock is
+	// held while answering, and a writer publishing mid-query never perturbs
+	// this answer. The cache key embeds the generation and view-set hash, so
+	// an entry stored under any other state simply misses.
+	st := s.chain.Load()
+	root.AttrInt("generation", st.Generation)
+	var key string
 	if s.cache != nil && !wantTrace {
-		st := s.chain.Load()
+		key = st.CacheKeyPrefix + norm
+	}
+	rec := obs.QueryRecord{TraceID: tr.ID(), Query: req.Query, Generation: st.Generation}
+	body, resp, fail := s.answerQuery(r.Context(), st, q, req.Workers, key, root, &rec)
+
+	if s.obs != nil {
+		spans := s.obs.finishQuery(tr, root, rec, wantTrace)
+		if wantTrace && resp != nil {
+			resp.TraceID = tr.ID()
+			resp.Trace = spans
+		}
+	}
+	if fail != nil {
+		writeJSON(w, fail.status, api.ErrorResponse{Error: fail.Error})
+		return
+	}
+	s.queries.Add(1)
+	if body != nil {
+		writeCachedBody(w, body)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// queryFailure is a query exit answered with the error envelope.
+type queryFailure struct {
+	status int
+	api.Error
+}
+
+// answerQuery answers q against the pinned state st. A non-empty key probes
+// the result cache once; only a miss takes an admission slot and executes,
+// and the rendered answer is stored under key. Exactly one of the stored
+// body of a cache hit, a fresh response, or a failure is returned; rec is
+// filled with the outcome for the caller's finish point.
+func (s *Server) answerQuery(ctx context.Context, st *core.GenerationState, q *sparql.Query,
+	workers int, key string, root obs.SpanHandle, rec *obs.QueryRecord) ([]byte, *api.QueryResponse, *queryFailure) {
+	if key != "" {
 		probe := root.Child("cache.probe")
-		body, ok := s.cache.get(st.CacheKeyPrefix + norm)
+		body, ok := s.cache.get(key)
 		probe.Attr("result", cacheResult(ok))
 		probe.End()
 		if ok {
-			s.queries.Add(1)
-			if s.obs != nil {
-				s.obs.finishQuery(tr, root, obs.QueryRecord{
-					TraceID:    tr.ID(),
-					Query:      req.Query,
-					Outcome:    obs.OutcomeCacheHit,
-					Generation: st.Generation,
-				}, false)
-			}
-			writeCachedBody(w, body)
-			return
+			rec.Outcome = obs.OutcomeCacheHit
+			return body, nil, nil
 		}
 	}
 
-	// Admission control: occupy an execution slot before taking the read
-	// lock, so queued queries do not hold the lock and block writers.
 	admit := root.Child("admission.wait")
 	select {
 	case s.sem <- struct{}{}:
 		admit.End()
 		defer func() { <-s.sem }()
-	case <-r.Context().Done():
+	case <-ctx.Done():
 		admit.End()
-		if s.obs != nil {
-			s.obs.finishQuery(tr, root, obs.QueryRecord{
-				TraceID: tr.ID(),
-				Query:   req.Query,
-				Outcome: obs.OutcomeError,
-				Err:     "request canceled while queued",
-			}, false)
-		}
-		httpError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "request canceled while queued")
-		return
+		rec.Outcome, rec.Err = obs.OutcomeError, "request canceled while queued"
+		return nil, nil, &queryFailure{http.StatusServiceUnavailable, api.Error{Code: api.CodeUnavailable, Message: rec.Err}}
 	}
 
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-
-	// Pin one published generation and answer entirely against it: the
-	// snapshot is immutable, so no lock is held while executing, and a
-	// writer publishing mid-query never perturbs this answer.
-	st := s.chain.Load()
-	root.AttrInt("generation", st.Generation)
-	var key string
-	if s.cache != nil && !wantTrace {
-		key = st.CacheKeyPrefix + norm // state may have advanced since the fast path
-		recheck := root.Child("cache.recheck")
-		body, ok := s.cache.recheck(key)
-		recheck.Attr("result", cacheResult(ok))
-		recheck.End()
-		if ok {
-			s.queries.Add(1)
-			if s.obs != nil {
-				s.obs.finishQuery(tr, root, obs.QueryRecord{
-					TraceID:    tr.ID(),
-					Query:      req.Query,
-					Outcome:    obs.OutcomeCacheHit,
-					Generation: st.Generation,
-				}, false)
-			}
-			writeCachedBody(w, body)
-			return
-		}
-	}
-	ans, err := st.Sys.AnswerObserved(q, workers, root)
+	// A client may lower its query's parallelism, never raise it past the
+	// system's (0 or less means the system's).
+	ans, err := st.Sys.AnswerObserved(q, min(workers, st.Sys.Workers), root)
 	if err != nil {
-		if s.obs != nil {
-			s.obs.finishQuery(tr, root, obs.QueryRecord{
-				TraceID:    tr.ID(),
-				Query:      req.Query,
-				Outcome:    obs.OutcomeError,
-				Generation: st.Generation,
-				Err:        err.Error(),
-			}, false)
-		}
-		httpError(w, http.StatusUnprocessableEntity, api.CodeExecutionError, "execution error: %v", err)
-		return
+		rec.Outcome, rec.Err = obs.OutcomeError, err.Error()
+		return nil, nil, &queryFailure{http.StatusUnprocessableEntity, api.Error{Code: api.CodeExecutionError, Message: "execution error: " + rec.Err}}
 	}
 	render := root.Child("render")
 	resp := &api.QueryResponse{
@@ -492,7 +453,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	render.AttrInt("rows", int64(len(resp.Rows)))
 	render.End()
-	if s.cache != nil && !wantTrace {
+	if key != "" {
 		// Render the cached variant once at insert time; hits serve the
 		// bytes verbatim instead of re-encoding the rows per request. The
 		// body is cached before any trace fields are attached: the trace id
@@ -504,27 +465,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Cached = false
 	}
-	if s.obs != nil {
-		view := ""
-		if ans.Via != nil {
-			view = ans.Via.View().ID()
-		}
-		spans := s.obs.finishQuery(tr, root, obs.QueryRecord{
-			TraceID:    tr.ID(),
-			Query:      req.Query,
-			Outcome:    ans.Outcome,
-			View:       view,
-			Reason:     ans.Reason,
-			Generation: st.Generation,
-			Rows:       len(resp.Rows),
-		}, wantTrace)
-		if wantTrace {
-			resp.TraceID = tr.ID()
-			resp.Trace = spans
+	rec.Outcome, rec.Reason, rec.Rows = ans.Outcome, ans.Reason, len(resp.Rows)
+	if ans.Via != nil {
+		rec.View = ans.Via.View().ID()
+	}
+	return nil, resp, nil
+}
+
+// validTraceID reports whether a caller-supplied trace id may be echoed and
+// kept in the query ring: 1–64 bytes of [0-9A-Za-z._-]. Anything else is
+// replaced by a fresh id, so no header can bloat the ring or the response.
+func validTraceID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '.' || c == '_' || c == '-') {
+			return false
 		}
 	}
-	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	return true
 }
 
 // cacheResult labels a cache probe span's outcome.

@@ -278,31 +278,15 @@ func (c *Catalog) bestSource(v facet.View) *Materialized {
 }
 
 // Materialize computes the view (rolling up from a materialized ancestor
-// when possible) and encodes it into G+. Re-materializing an existing view
-// is a no-op returning the existing record.
+// when possible) and encodes it into G+ — MaterializeAll for a batch of one.
+// Re-materializing an existing view is a no-op returning the existing
+// record.
 func (c *Catalog) Materialize(v facet.View) (*Materialized, error) {
-	if v.Facet != c.facet {
-		return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
-	}
-	if m, ok := c.mats[v.Mask]; ok {
-		return m, nil
-	}
-	start := time.Now()
-	baseVersion := c.base.Version()
-	var data *Data
-	var err error
-	if src := c.bestSource(v); src != nil {
-		data, err = RollUp(src.Data, v)
-		// The roll-up reflects the ancestor's base version; if the ancestor
-		// is stale, the new view is born stale too.
-		baseVersion = src.baseVersion
-	} else {
-		data, err = Compute(c.baseEng, v)
-	}
+	out, err := c.MaterializeAll([]facet.View{v}, 1)
 	if err != nil {
 		return nil, err
 	}
-	return c.materializeData(data, start, baseVersion)
+	return out[0], nil
 }
 
 // MaterializeData encodes precomputed view data into G+. The start time, if

@@ -18,30 +18,25 @@ import (
 
 // MaterializeAll materializes every listed view, computing independent view
 // contents on a bounded pool of up to workers goroutines. The batch is
-// processed in waves: a view that a finer batch member covers waits for that
-// ancestor's wave, so the cheap roll-up path of Materialize is preserved
-// (e.g. the full view computes first, its children then roll up from it in
-// parallel). Records are returned in input order; already-materialized views
-// return their existing records, and duplicates resolve to one record.
+// processed in waves, each planned and committed as one MaterializePlan: a
+// view that a finer batch member covers waits for that ancestor's wave, so
+// the cheap roll-up path is preserved (e.g. the full view computes first,
+// its children then roll up from it in parallel). Wave members never cover
+// each other, so planning a wave as a whole loses no sibling roll-up.
+// Records are returned in input order; already-materialized views return
+// their existing records, and duplicates resolve to one record.
 func (c *Catalog) MaterializeAll(vs []facet.View, workers int) ([]*Materialized, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	var pending []facet.View
-	seen := make(map[facet.Mask]bool, len(vs))
-	for _, v := range vs {
-		if v.Facet != c.facet {
-			return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
-		}
-		if seen[v.Mask] || c.Has(v.Mask) {
-			continue
-		}
-		seen[v.Mask] = true
-		pending = append(pending, v)
+	pending, err := c.pendingViews(vs)
+	if err != nil {
+		return nil, err
 	}
 	for len(pending) > 0 {
 		wave, rest := nextWave(pending)
-		if err := c.materializeWave(wave, workers); err != nil {
+		plan, err := c.PlanMaterialize(wave, workers)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := c.CommitMaterialize(plan); err != nil {
 			return nil, err
 		}
 		pending = rest
@@ -55,6 +50,24 @@ func (c *Catalog) MaterializeAll(vs []facet.View, workers int) ([]*Materialized,
 		out[i] = m
 	}
 	return out, nil
+}
+
+// pendingViews returns the listed views not yet materialized, deduplicated
+// in input order, rejecting views of another facet.
+func (c *Catalog) pendingViews(vs []facet.View) ([]facet.View, error) {
+	var pending []facet.View
+	seen := make(map[facet.Mask]bool, len(vs))
+	for _, v := range vs {
+		if v.Facet != c.facet {
+			return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
+		}
+		if seen[v.Mask] || c.Has(v.Mask) {
+			continue
+		}
+		seen[v.Mask] = true
+		pending = append(pending, v)
+	}
+	return pending, nil
 }
 
 // nextWave splits pending views into those computable now (not covered by a
@@ -153,30 +166,6 @@ func (c *Catalog) resolveSources(vs []facet.View) (map[facet.Mask]*Materialized,
 	return srcs, versions
 }
 
-// materializeWave computes one wave's view contents in parallel, then
-// encodes them into G+ serially in wave order.
-func (c *Catalog) materializeWave(wave []facet.View, workers int) error {
-	// Wave members never cover each other, so committing earlier members in
-	// the loop below cannot change a later member's resolved source. The
-	// srcs map is read-only inside the pool, so sharing it needs no locking.
-	srcs, versions := c.resolveSources(wave)
-	results := c.computeWave(wave, workers, func(eng *engine.Engine, _ int, v facet.View) (*Data, error) {
-		if src := srcs[v.Mask]; src != nil {
-			return RollUp(src.Data, v)
-		}
-		return Compute(eng, v)
-	})
-	for i := range wave {
-		if results[i].err != nil {
-			return results[i].err
-		}
-		if _, err := c.materializeData(results[i].data, results[i].start, versions[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MaterializePlan holds computed view contents ready to be encoded into
 // G+. Like RefreshPlan, producing it only reads the catalog; committing it
 // is the sole mutation.
@@ -206,22 +195,13 @@ func (c *Catalog) PlanMaterialize(vs []facet.View, workers int) (*MaterializePla
 	if workers < 1 {
 		workers = 1
 	}
-	var pending []facet.View
-	seen := make(map[facet.Mask]bool, len(vs))
-	for _, v := range vs {
-		if v.Facet != c.facet {
-			return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
-		}
-		if seen[v.Mask] || c.Has(v.Mask) {
-			continue
-		}
-		seen[v.Mask] = true
-		pending = append(pending, v)
-	}
-	if len(pending) == 0 {
-		return nil, nil
+	pending, err := c.pendingViews(vs)
+	if err != nil || len(pending) == 0 {
+		return nil, err
 	}
 	plan := &MaterializePlan{views: pending}
+	// The srcs map is read-only inside the pool, so sharing it needs no
+	// locking.
 	srcs, versions := c.resolveSources(pending)
 	plan.versions = versions
 	results := c.computeWave(pending, workers, func(eng *engine.Engine, _ int, v facet.View) (*Data, error) {
