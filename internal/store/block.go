@@ -4,10 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"sofos/internal/rdf"
 )
@@ -15,43 +14,93 @@ import (
 // Block-compressed run layout.
 //
 // A blockRun chops the sorted key sequence into fixed-size blocks of up to
-// blockSize keys. Each block stores its first and last key uncompressed in a
-// fence entry (blockMeta) and its remaining keys in a compact byte payload:
+// blockSize keys. Each block is bit-packed frame-of-reference: every column c
+// stores all count values as fixed-width offsets from the column's minimum,
+// base[c], in width[c] = bits.Len32(max−base) bits each:
 //
-//	payload := c0-section c1-section c2-section        (count-1 entries each)
-//	c0-section: uvarint(c0[i] - c0[i-1])               (leading column, sorted:
-//	                                                    deltas are non-negative)
-//	c1-section: zigzag-varint(c1[i] - min[1])          (unsorted columns encode
-//	c2-section: zigzag-varint(c2[i] - min[2])           against per-block bases)
+//	payload := c0-values c1-values c2-values   (count values each, no padding
+//	                                            between columns)
+//	value i of column c sits at bit  count·(width[0]+…+width[c−1]) + i·width[c]
+//	plen = ⌈count·(width[0]+width[1]+width[2]) / 8⌉
 //
-// Key 0 is the fence's min key, so a one-key block has an empty payload. The
-// sections are column-contiguous (SoA on the wire), so a decode is three tight
-// varint loops into the arena's column slices.
+// Bits are little-endian: payload bit j is bit j&7 of byte j>>3. A constant
+// column has width 0 and occupies no payload bits. base and width live in
+// the block's fence entry (blockMeta) next to its first and last key, so a
+// payload's length follows from the directory alone (see checkPackedMeta).
 //
-// The fences double as a pruning index: searches binary-search the fence
-// array and decode at most one block; estimates count interior blocks by
-// their fence metadata alone and only decode the two boundary blocks.
+// Fixed widths make every key an O(1) shift-and-mask read: searches
+// binary-search the packed columns in place — c0, then c1 inside the c0 range,
+// then c2 — and fills unpack only the window they are asked for. The fences
+// double as a pruning index: searches binary-search the fence array and read
+// at most the boundary blocks; estimates count interior blocks by their
+// fence metadata alone.
 
 // blockSize is the maximum number of keys encoded per block. 1024 keys keep
-// a decoded block (3 SoA columns, 12 KiB) inside L1/L2 while amortizing the
-// per-block fence and decode-loop setup.
+// an unpacked block (3 SoA columns, 12 KiB) inside L1/L2 while amortizing the
+// per-block fence.
 const blockSize = 1024
 
 // maxBlockCount bounds the per-block key count accepted from snapshots, so a
 // corrupt count cannot demand an unbounded arena allocation.
 const maxBlockCount = 1 << 16
 
+// packSlack is how many readable bytes every packed payload is followed by:
+// builders end the run's data with them and paged snapshots reserve them at
+// each page's tail. A value starts inside its payload, so its one 64-bit
+// load (see column.at) never runs off the data.
+const packSlack = 8
+
 // blockMeta is one block's fence entry: where its payload lives, how many
-// keys it holds, which global position it starts at, and its first/last key.
-// Payload extent is explicit (off, plen) rather than derived from the next
-// block's offset, because paged snapshots leave alignment padding between
-// payloads.
+// keys it holds, which global position it starts at, its first/last key, and
+// each column's frame of reference (base, width). Payload extent is explicit
+// (off, plen) rather than derived from the next block's offset, because paged
+// snapshots leave alignment padding between payloads.
 type blockMeta struct {
-	off      uint32 // payload start offset in blockRun.data
-	plen     uint32 // payload length in bytes
-	count    uint32 // keys in the block (1..blockSize; snapshots up to maxBlockCount)
-	start    int    // global position of the block's first key
-	min, max rdf.EncodedTriple
+	off   uint32   // payload start offset in blockRun.data
+	plen  uint32   // payload length in bytes
+	count uint32   // keys in the block (1..blockSize; snapshots up to maxBlockCount)
+	width [3]uint8 // bits per stored value, per column (0..32)
+	start int      // global position of the block's first key
+	min   rdf.EncodedTriple
+	max   rdf.EncodedTriple
+	base  rdf.EncodedTriple // per-column minimum every value is stored against
+}
+
+// packedLen is the payload length of a block of count keys with the given
+// column widths.
+func packedLen(count int, width [3]uint8) int {
+	return (count*(int(width[0])+int(width[1])+int(width[2])) + 7) / 8
+}
+
+// checkPackedMeta validates a block's packed shape from its fence entry
+// alone, before any payload byte is read: the count and widths must be in
+// range, plen must be exactly what they imply, and both fence keys must be
+// representable in the block's frames (with base[0] = min[0], since the
+// leading column is sorted). Together with the caller's extent check — the
+// payload plus packSlack bytes must lie inside the data — it guarantees
+// every in-block read stays inside the data.
+func checkPackedMeta(m *blockMeta) error {
+	if m.count == 0 || m.count > maxBlockCount {
+		return fmt.Errorf("invalid count %d", m.count)
+	}
+	for c, w := range m.width {
+		if w > 32 {
+			return fmt.Errorf("column %d width %d exceeds 32 bits", c, w)
+		}
+		mask := uint64(1)<<w - 1
+		for _, k := range [2]rdf.EncodedTriple{m.min, m.max} {
+			if k[c] < m.base[c] || uint64(k[c]-m.base[c]) > mask {
+				return fmt.Errorf("column %d fence outside its %d-bit frame", c, w)
+			}
+		}
+	}
+	if m.base[0] != m.min[0] {
+		return fmt.Errorf("leading column base %d differs from the fence %d", m.base[0], m.min[0])
+	}
+	if want := packedLen(int(m.count), m.width); int(m.plen) != want {
+		return fmt.Errorf("payload length %d, packed shape needs %d", m.plen, want)
+	}
+	return nil
 }
 
 // blockRun is the block-compressed run representation.
@@ -65,10 +114,10 @@ type blockRun struct {
 	n    int // total keys
 
 	// crcs, when non-nil, holds each block's payload CRC32 from a paged
-	// snapshot directory, checked lazily on a block's first decode; verified
-	// is the matching atomic "already checked" bitset. Lazy checking is what
-	// lets an mmap-backed load finish without touching payload pages — the
-	// first read of a corrupted block then fails loudly (see checkCRC).
+	// snapshot directory, checked lazily on a block's first payload read;
+	// verified is the matching atomic "already checked" bitset. Lazy checking
+	// is what lets an mmap-backed load finish without touching payload pages
+	// — the first read of a corrupted block then fails loudly (see verify).
 	crcs     []uint32
 	verified []uint32
 
@@ -129,16 +178,28 @@ func (b *blockBuilder) flush() {
 		return
 	}
 	keys := b.pend
-	off := len(b.r.data)
-	b.r.data = appendBlockPayload(b.r.data, keys)
-	b.r.meta = append(b.r.meta, blockMeta{
-		off:   uint32(off),
-		plen:  uint32(len(b.r.data) - off),
+	m := blockMeta{
+		off:   uint32(len(b.r.data)),
 		count: uint32(len(keys)),
 		start: b.r.n,
 		min:   keys[0],
 		max:   keys[len(keys)-1],
-	})
+		base:  keys[0],
+	}
+	hi := keys[0]
+	for _, k := range keys[1:] {
+		for c := 1; c < 3; c++ {
+			m.base[c] = min(m.base[c], k[c])
+			hi[c] = max(hi[c], k[c])
+		}
+	}
+	hi[0] = m.max[0]
+	for c := range m.width {
+		m.width[c] = uint8(bits.Len32(uint32(hi[c] - m.base[c])))
+	}
+	b.r.data = appendPacked(b.r.data, keys, m.base, m.width)
+	m.plen = uint32(len(b.r.data)) - m.off
+	b.r.meta = append(b.r.meta, m)
 	b.r.n += len(keys)
 	b.pend = b.pend[:0]
 }
@@ -147,25 +208,127 @@ func (b *blockBuilder) finish() run {
 	b.flush()
 	r := b.r
 	b.r = blockRun{}
+	if len(r.meta) > 0 {
+		r.data = append(r.data, make([]byte, packSlack)...)
+	}
 	r.fenceInit()
 	return &r
 }
 
-// appendBlockPayload encodes keys[1:] against keys[0] in the column-sectioned
-// block format.
-func appendBlockPayload(dst []byte, keys []rdf.EncodedTriple) []byte {
-	prev := keys[0][0]
-	for _, k := range keys[1:] {
-		dst = binary.AppendUvarint(dst, uint64(k[0]-prev))
-		prev = k[0]
-	}
-	for c := 1; c < 3; c++ {
-		base := int64(keys[0][c])
-		for _, k := range keys[1:] {
-			dst = binary.AppendVarint(dst, int64(k[c])-base)
+// appendPacked appends keys as one packed payload: each column in turn, every
+// value as its offset from base in that column's width.
+func appendPacked(dst []byte, keys []rdf.EncodedTriple, base rdf.EncodedTriple, width [3]uint8) []byte {
+	var acc uint64 // pending bits, low bits first
+	var nacc uint
+	for c := range width {
+		w := uint(width[c])
+		for _, k := range keys {
+			acc |= uint64(k[c]-base[c]) << nacc
+			for nacc += w; nacc >= 8; nacc -= 8 {
+				dst = append(dst, byte(acc))
+				acc >>= 8
+			}
 		}
 	}
+	if nacc > 0 {
+		dst = append(dst, byte(acc))
+	}
 	return dst
+}
+
+// column is a read cursor over one packed column of one block.
+type column struct {
+	data []byte // the run's whole payload region
+	bit  uint64 // bit offset of value 0 in data
+	w    uint64 // bits per value
+	mask uint64 // 1<<w - 1
+	base rdf.ID
+}
+
+// column returns a read cursor over column c of block bi. Callers must have
+// verified the block (see verify).
+func (r *blockRun) column(bi, c int) column {
+	m := &r.meta[bi]
+	bit := uint64(m.off) * 8
+	for i := 0; i < c; i++ {
+		bit += uint64(m.count) * uint64(m.width[i])
+	}
+	w := uint64(m.width[c])
+	return column{data: r.data, bit: bit, w: w, mask: 1<<w - 1, base: m.base[c]}
+}
+
+// at returns the column's value i: one 64-bit load holds it whole, since it
+// is at most 32 bits starting at most 7 bits into its first byte.
+func (c *column) at(i int) rdf.ID {
+	b := c.bit + uint64(i)*c.w
+	return c.base + rdf.ID(binary.LittleEndian.Uint64(c.data[b>>3:])>>(b&7)&c.mask)
+}
+
+// unpack writes values [from, from+len(dst)) into dst. As in at, one 64-bit
+// load holds four consecutive values of up to 14 bits, or two of up to 28:
+// the loops take that many per load.
+func (c *column) unpack(dst []rdf.ID, from int) {
+	data, base, w, mask := c.data, c.base, c.w, c.mask
+	b := c.bit + uint64(from)*w
+	i, n := 0, len(dst)
+	switch {
+	case w <= 14:
+		for ; i+4 <= n; i += 4 {
+			x := binary.LittleEndian.Uint64(data[b>>3:]) >> (b & 7)
+			d := dst[i : i+4 : i+4]
+			d[0] = base + rdf.ID(x&mask)
+			d[1] = base + rdf.ID(x>>w&mask)
+			d[2] = base + rdf.ID(x>>(2*w)&mask)
+			d[3] = base + rdf.ID(x>>(3*w)&mask)
+			b += 4 * w
+		}
+	case w <= 28:
+		for ; i+2 <= n; i += 2 {
+			x := binary.LittleEndian.Uint64(data[b>>3:]) >> (b & 7)
+			d := dst[i : i+2 : i+2]
+			d[0] = base + rdf.ID(x&mask)
+			d[1] = base + rdf.ID(x>>w&mask)
+			b += 2 * w
+		}
+	}
+	for ; i < n; i++ {
+		dst[i] = base + rdf.ID(binary.LittleEndian.Uint64(data[b>>3:])>>(b&7)&mask)
+		b += w
+	}
+}
+
+// lower returns the first index in [lo, hi) whose value is ≥ v (hi if none);
+// the values in [lo, hi) must be sorted.
+func (c *column) lower(lo, hi int, v rdf.ID) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.at(mid) < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// upper returns the first index in [lo, hi) whose value is > v (hi if none).
+// It gallops from lo before bisecting, because the matching ranges probes
+// ask for are usually a few keys long.
+func (c *column) upper(lo, hi int, v rdf.ID) int {
+	end := lo
+	for step := 1; end < hi && c.at(end) <= v; step <<= 1 {
+		lo, end = end+1, end+step
+	}
+	hi = min(hi, end)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.at(mid) <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // payloadEnd returns the end offset of block bi's payload.
@@ -175,7 +338,7 @@ func (r *blockRun) payloadEnd(bi int) int {
 }
 
 // checkCRC verifies block bi's payload against its snapshot CRC the first
-// time the block is decoded. The bitset is updated with a CAS loop so
+// time the block is read. The bitset is updated with a CAS loop so
 // concurrent readers verify at most a handful of times and never block.
 func (r *blockRun) checkCRC(bi int) error {
 	if r.crcs == nil {
@@ -198,103 +361,29 @@ func (r *blockRun) checkCRC(bi int) error {
 	}
 }
 
-// decodeBlock expands block bi into the three column slices (each at least
-// count long), validating the payload as it goes: every varint must be
-// well-formed and in-bounds, every decoded component must fit an rdf.ID, and
-// the payload must be consumed exactly. The error is precise because this is
-// the load-time corruption gate for snapshots (see snapshot.go); in-process
-// blocks built by blockBuilder always decode cleanly.
-func (r *blockRun) decodeBlock(bi int, c0, c1, c2 []rdf.ID) error {
-	m := &r.meta[bi]
-	if int(m.off) > len(r.data) || r.payloadEnd(bi) > len(r.data) {
-		return fmt.Errorf("block %d: payload offsets out of range", bi)
-	}
+// verify is checkCRC for the read paths. Runs are trusted once loaded — heap
+// loads check every CRC up front — so a mismatch here is a lazily verified
+// (mmap) block whose file bytes are corrupt, and it is a tagged panic rather
+// than a recoverable error.
+func (r *blockRun) verify(bi int) {
 	if err := r.checkCRC(bi); err != nil {
-		return err
-	}
-	p := r.data[m.off:r.payloadEnd(bi)]
-	cnt := int(m.count)
-	c0[0], c1[0], c2[0] = m.min[0], m.min[1], m.min[2]
-	pos := 0
-	acc := uint64(m.min[0])
-	for i := 1; i < cnt; i++ {
-		// Single-byte fast path: leading-column deltas are almost always tiny.
-		var v uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			v = uint64(p[pos])
-			pos++
-		} else {
-			var w int
-			v, w = binary.Uvarint(p[pos:])
-			if w <= 0 {
-				return fmt.Errorf("block %d: truncated c0 varint at entry %d", bi, i)
-			}
-			pos += w
-		}
-		acc += v
-		if acc > math.MaxUint32 {
-			return fmt.Errorf("block %d: c0 overflows at entry %d", bi, i)
-		}
-		c0[i] = rdf.ID(acc)
-	}
-	for c, col := range [2][]rdf.ID{c1, c2} {
-		base := int64(m.min[c+1])
-		for i := 1; i < cnt; i++ {
-			var v int64
-			if pos < len(p) && p[pos] < 0x80 {
-				// Inline single-byte zigzag decode.
-				u := uint64(p[pos])
-				pos++
-				v = int64(u>>1) ^ -int64(u&1)
-			} else {
-				var w int
-				v, w = binary.Varint(p[pos:])
-				if w <= 0 {
-					return fmt.Errorf("block %d: truncated c%d varint at entry %d", bi, c+1, i)
-				}
-				pos += w
-			}
-			val := base + v
-			if val < 0 || val > math.MaxUint32 {
-				return fmt.Errorf("block %d: c%d out of range at entry %d", bi, c+1, i)
-			}
-			col[i] = rdf.ID(val)
-		}
-	}
-	if pos != len(p) {
-		return fmt.Errorf("block %d: %d trailing payload bytes", bi, len(p)-pos)
-	}
-	return nil
-}
-
-// mustDecode is decodeBlock for trusted in-process runs: snapshot loading
-// validates every block once, so a decode failure afterwards can only mean
-// memory corruption and is a panic, not a recoverable error.
-func (r *blockRun) mustDecode(bi int, c0, c1, c2 []rdf.ID) {
-	if err := r.decodeBlock(bi, c0, c1, c2); err != nil {
 		panic("store: corrupt block run: " + err.Error())
 	}
 }
 
-// searchArenas pools decode scratch for point operations (search, contains,
-// keyAt) so they stay allocation-free on hot paths while scans keep their
-// own per-iterator arenas.
-var searchArenas = sync.Pool{New: func() any { return new(spanArena) }}
-
-// decoded returns a pooled arena holding block bi fully decoded. Pooled
-// arenas keep their block identity across Get/Put, so consecutive point
-// lookups landing in the same block — index-ordered probe streams, or the
-// lower/upper bound pair of one range — reuse the previous decode. Callers
-// must not write to the arena and must return it with searchArenas.Put.
-func (r *blockRun) decoded(bi int) *spanArena {
-	a := searchArenas.Get().(*spanArena)
-	if a.src == r && a.bi == bi {
-		return a
+// blockRange returns the [lo, hi) in-block index range of block bi's keys
+// matching the depth-prefix of key, binary-searching the packed columns in
+// place: each column is sorted within the range where the preceding columns
+// equal the key's prefix.
+func (r *blockRun) blockRange(bi int, key rdf.EncodedTriple, depth int) (int, int) {
+	r.verify(bi)
+	lo, hi := 0, int(r.meta[bi].count)
+	for c := 0; c < depth; c++ {
+		col := r.column(bi, c)
+		l := col.lower(lo, hi, key[c])
+		lo, hi = l, col.upper(l, hi, key[c])
 	}
-	a.grow(int(r.meta[bi].count))
-	r.mustDecode(bi, a.c0, a.c1, a.c2)
-	a.src, a.bi = r, bi
-	return a
+	return lo, hi
 }
 
 // blockOf returns the index of the block containing global position pos.
@@ -314,11 +403,12 @@ func (r *blockRun) blockOf(pos int) int {
 func (r *blockRun) size() int { return r.n }
 
 func (r *blockRun) memBytes() int64 {
-	// Fence entries are 44 bytes (4+4+4+8 header fields + two 12-byte keys)
-	// plus the 4-byte max0 mirror and any CRC side arrays. Mapped payloads
-	// live in the OS page cache, not the heap, so they are excluded here and
-	// reported through mappedBytes instead.
-	b := int64(len(r.meta))*48 + int64(len(r.crcs))*4 + int64(len(r.verified))*4
+	// Each block costs its fence entry plus its max0 mirror slot, and CRC
+	// side arrays when loaded lazily. Mapped payloads live in the OS page
+	// cache, not the heap, so they are excluded here and reported through
+	// mappedBytes instead.
+	perBlock := int64(unsafe.Sizeof(blockMeta{}) + unsafe.Sizeof(rdf.ID(0)))
+	b := int64(len(r.meta))*perBlock + int64(len(r.crcs))*4 + int64(len(r.verified))*4
 	if !r.mapped {
 		b += int64(len(r.data))
 	}
@@ -387,117 +477,20 @@ func upperID(s []rdf.ID, v rdf.ID) int {
 	return lo
 }
 
-// spanRange finds both bound positions (first ≥ prefix, first > prefix) for
-// key within a decoded block of n keys, searching column by column: each
-// column is sorted within the range where the preceding columns equal the
-// key's prefix, so the search runs over packed ID arrays instead of gathering
-// assembled keys.
-func spanRange(a *spanArena, n int, key rdf.EncodedTriple, depth int) (int, int) {
-	lo := lowerID(a.c0[:n], key[0])
-	hi := lo + upperID(a.c0[lo:n], key[0])
-	if depth == 1 {
-		return lo, hi
-	}
-	l1 := lo + lowerID(a.c1[lo:hi], key[1])
-	h1 := l1 + upperID(a.c1[l1:hi], key[1])
-	if depth == 2 {
-		return l1, h1
-	}
-	l2 := l1 + lowerID(a.c2[l1:h1], key[2])
-	return l2, l2 + upperID(a.c2[l2:h1], key[2])
-}
-
-// spanSearch is spanRange for a single bound.
-func spanSearch(a *spanArena, n int, key rdf.EncodedTriple, depth int, upper bool) int {
-	lo, hi := spanRange(a, n, key, depth)
-	if upper {
-		return hi
-	}
-	return lo
-}
-
+// search is one bound of searchRange, clamped to from.
 func (r *blockRun) search(from int, key rdf.EncodedTriple, depth int, upper bool) int {
-	if depth == 0 {
-		if upper {
-			return r.n
-		}
-		return from
+	lo, hi := r.searchRange(key, depth)
+	if upper {
+		lo = hi
 	}
-	if r.n == 0 || from >= r.n {
-		return r.n
-	}
-	// Find the first block whose last key passes the bound: earlier blocks
-	// hold only failing keys, so the answer is in this block or at its start.
-	// Narrow by the leading fence component first — max0 is a flat ID array,
-	// far cheaper to binary-search than the wide meta entries. Blocks with
-	// max0 < key[0] fail every bound, blocks with max0 > key[0] pass every
-	// bound; only the max0 == key[0] range needs deeper comparison.
-	k0 := key[0]
-	// e0: first block with max0 ≥ key[0].
-	e0, h := 0, len(r.max0)
-	for e0 < h {
-		mid := int(uint(e0+h) >> 1)
-		if r.max0[mid] < k0 {
-			e0 = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	// e1: first block with max0 > key[0].
-	e1 := e0
-	h = len(r.max0)
-	for e1 < h {
-		mid := int(uint(e1+h) >> 1)
-		if r.max0[mid] <= k0 {
-			e1 = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	var lo int
-	switch {
-	case depth == 1 && upper:
-		lo = e1 // first block holding any key with c0 > key[0]
-	case depth == 1:
-		lo = e0 // first block holding any key with c0 ≥ key[0]
-	default:
-		// Deeper bounds: only the max0 == key[0] blocks [e0, e1) are
-		// ambiguous; block e1, if it exists, passes outright.
-		lo, h = e0, e1
-		if h < len(r.meta) {
-			h++
-		}
-		for lo < h {
-			mid := int(uint(lo+h) >> 1)
-			if !passes(r.meta[mid].max, key, depth, upper) {
-				lo = mid + 1
-			} else {
-				h = mid
-			}
-		}
-	}
-	if lo == len(r.meta) {
-		return r.n
-	}
-	m := &r.meta[lo]
-	q := m.start
-	if !passes(m.min, key, depth, upper) {
-		// The boundary crosses this block: decode it and binary-search the
-		// columns for the first passing key.
-		a := r.decoded(lo)
-		q = m.start + spanSearch(a, int(m.count), key, depth, upper)
-		searchArenas.Put(a)
-	}
-	if q < from {
-		q = from
-	}
-	return q
+	return max(lo, from)
 }
 
 // searchRange returns the [lower, upper) position range of keys matching the
 // depth-prefix of key — the fused form of a lower- and upper-bound search
 // pair. It shares the fence narrowing between the bounds and, when both land
-// in the same block (the common case for selective probes), the decode too.
+// in the same block (the common case for selective probes), the in-block
+// column search too.
 func (r *blockRun) searchRange(key rdf.EncodedTriple, depth int) (int, int) {
 	if depth == 0 {
 		return 0, r.n
@@ -536,21 +529,8 @@ func (r *blockRun) searchRange(key rdf.EncodedTriple, depth int) (int, int) {
 		// every earlier key fails the lower bound, so both bounds sit here.
 		return m.start, m.start
 	}
-	if passes(m.min, key, depth, false) {
-		// The block starts exactly on the prefix; only the upper bound can be
-		// interior.
-		a := r.decoded(bLo)
-		_, h := spanRange(a, int(m.count), key, depth)
-		searchArenas.Put(a)
-		if h < int(m.count) {
-			return m.start, m.start + h
-		}
-		return m.start, r.searchUpperFrom(bLo+1, e1, key, depth)
-	}
-	// The lower bound is interior to this block; the upper bound may be too.
-	a := r.decoded(bLo)
-	l, h := spanRange(a, int(m.count), key, depth)
-	searchArenas.Put(a)
+	// The lower bound is in this block; the upper bound may be too.
+	l, h := r.blockRange(bLo, key, depth)
 	if h < int(m.count) {
 		return m.start + l, m.start + h
 	}
@@ -581,10 +561,8 @@ func (r *blockRun) searchUpperFrom(b, e1 int, key rdf.EncodedTriple, depth int) 
 	}
 	m := &r.meta[lo]
 	if !passes(m.min, key, depth, true) {
-		a := r.decoded(lo)
-		q := m.start + spanSearch(a, int(m.count), key, depth, true)
-		searchArenas.Put(a)
-		return q
+		_, h := r.blockRange(lo, key, depth)
+		return m.start + h
 	}
 	return m.start
 }
@@ -610,11 +588,8 @@ func (r *blockRun) contains(key rdf.EncodedTriple) bool {
 	case key == m.min || key == m.max:
 		return true
 	}
-	a := r.decoded(lo)
-	ilo := spanSearch(a, int(m.count), key, 3, false)
-	found := ilo < int(m.count) && a.key(ilo) == key
-	searchArenas.Put(a)
-	return found
+	l, h := r.blockRange(lo, key, 3)
+	return l < h
 }
 
 func (r *blockRun) keyAt(pos int) rdf.EncodedTriple {
@@ -626,28 +601,25 @@ func (r *blockRun) keyAt(pos int) rdf.EncodedTriple {
 	case m.start + int(m.count) - 1:
 		return m.max
 	}
-	a := r.decoded(bi)
-	k := a.key(pos - m.start)
-	searchArenas.Put(a)
-	return k
+	r.verify(bi)
+	i := pos - m.start
+	c0, c1, c2 := r.column(bi, 0), r.column(bi, 1), r.column(bi, 2)
+	return rdf.EncodedTriple{c0.at(i), c1.at(i), c2.at(i)}
 }
 
+// fill unpacks only the window [lo, min(hi, end of lo's block)) into the
+// arena: a selective probe reads the keys it matched, not the whole block.
 func (r *blockRun) fill(a *spanArena, lo, hi int) {
 	bi := r.blockOf(lo)
 	m := &r.meta[bi]
-	if a.src == r && a.bi == bi {
-		// The iterator's arena already holds this block (a prior fill or an
-		// interleaved Next/NextSpan): just reposition the window.
-		a.n = int(m.count)
-	} else {
-		a.grow(int(m.count))
-		r.mustDecode(bi, a.c0, a.c1, a.c2)
-		a.src, a.bi = r, bi
-	}
-	a.idx = lo - m.start
-	if end := m.start + int(m.count); end > hi {
-		a.n = hi - m.start
-	}
+	hi = min(hi, m.start+int(m.count))
+	a.grow(hi - lo)
+	r.verify(bi)
+	from := lo - m.start
+	c0, c1, c2 := r.column(bi, 0), r.column(bi, 1), r.column(bi, 2)
+	c0.unpack(a.c0, from)
+	c1.unpack(a.c1, from)
+	c2.unpack(a.c2, from)
 }
 
 // alignSplit rounds a tentative partition cut down to a block boundary — and,
@@ -677,63 +649,6 @@ func (r *blockRun) clone() run {
 	c.data = append([]byte(nil), r.data...)
 	c.fenceInit()
 	return c
-}
-
-// validate re-decodes every block and checks the structural invariants a
-// snapshot-loaded run must satisfy: monotonic payload offsets, sane counts,
-// strictly increasing keys within and across blocks, fences that match the
-// decoded content, component IDs inside the dictionary, and a total matching
-// n. It returns the sum over triples of triple hashes (order-independent,
-// with components mapped back to SPO order through kind) so the caller can
-// cross-check that the three permutations hold the same triple set, and
-// invokes each for every decoded key in SPO component order when non-nil.
-func (r *blockRun) validate(kind permKind, maxID rdf.ID, each func(s, p, o rdf.ID)) (uint64, error) {
-	var sum uint64
-	total := 0
-	a := searchArenas.Get().(*spanArena)
-	defer searchArenas.Put(a)
-	var prevLast rdf.EncodedTriple
-	for bi := range r.meta {
-		m := &r.meta[bi]
-		if m.count == 0 || m.count > maxBlockCount {
-			return 0, fmt.Errorf("block %d: invalid count %d", bi, m.count)
-		}
-		if m.start != total {
-			return 0, fmt.Errorf("block %d: start %d, want %d", bi, m.start, total)
-		}
-		if bi > 0 && int(m.off) < int(r.meta[bi-1].off) {
-			return 0, fmt.Errorf("block %d: payload offset regresses", bi)
-		}
-		a.grow(int(m.count))
-		if err := r.decodeBlock(bi, a.c0, a.c1, a.c2); err != nil {
-			return 0, err
-		}
-		prev := prevLast
-		for i := 0; i < int(m.count); i++ {
-			k := a.key(i)
-			if (bi > 0 || i > 0) && cmpKeys(prev, k) >= 0 {
-				return 0, fmt.Errorf("block %d: keys not strictly increasing at entry %d", bi, i)
-			}
-			prev = k
-			s, p, o := kind.spo(k)
-			if s == rdf.NoID || s > maxID || p == rdf.NoID || p > maxID || o == rdf.NoID || o > maxID {
-				return 0, fmt.Errorf("block %d: component id out of dictionary range at entry %d", bi, i)
-			}
-			sum += tripleHash(s, p, o)
-			if each != nil {
-				each(s, p, o)
-			}
-		}
-		if a.key(0) != m.min || a.key(int(m.count)-1) != m.max {
-			return 0, fmt.Errorf("block %d: fence does not match decoded keys", bi)
-		}
-		prevLast = m.max
-		total += int(m.count)
-	}
-	if total != r.n {
-		return 0, fmt.Errorf("block run: %d keys decoded, header says %d", total, r.n)
-	}
-	return sum, nil
 }
 
 // tripleHash mixes one triple into a 64-bit value; summed over a run it forms

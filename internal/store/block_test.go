@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"sofos/internal/rdf"
 )
@@ -36,73 +38,193 @@ func TestBlockRunAgainstFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{0, 1, 2, blockSize - 1, blockSize, blockSize + 1, 3*blockSize + 17} {
 		keys := sortedRandomKeys(rng, n)
-		br := buildRun(blockCodec{}, keys)
-		fr := buildRun(flatCodec{}, keys)
-		if br.size() != n || fr.size() != n {
-			t.Fatalf("n=%d: sizes %d/%d", n, br.size(), fr.size())
-		}
+		br := checkRunAgainstFlat(t, rng, keys)
 		// Fence overhead dominates below a block; compression only pays off
 		// once runs actually span blocks.
-		if n >= blockSize && br.memBytes() >= fr.memBytes() {
+		if fr := buildRun(flatCodec{}, keys); n >= blockSize && br.memBytes() >= fr.memBytes() {
 			t.Errorf("n=%d: block run %d B not smaller than flat %d B", n, br.memBytes(), fr.memBytes())
 		}
-		for pos := 0; pos < n; pos++ {
-			if br.keyAt(pos) != fr.keyAt(pos) {
-				t.Fatalf("n=%d: keyAt(%d) = %v, want %v", n, pos, br.keyAt(pos), fr.keyAt(pos))
-			}
+	}
+}
+
+// checkRunAgainstFlat builds a block run and a flat run over the same sorted
+// keys and compares every run primitive between them, returning the block run.
+func checkRunAgainstFlat(t *testing.T, rng *rand.Rand, keys []rdf.EncodedTriple) *blockRun {
+	t.Helper()
+	n := len(keys)
+	br := buildRun(blockCodec{}, keys).(*blockRun)
+	fr := buildRun(flatCodec{}, keys)
+	if br.size() != n || fr.size() != n {
+		t.Fatalf("n=%d: sizes %d/%d", n, br.size(), fr.size())
+	}
+	for pos := 0; pos < n; pos++ {
+		if br.keyAt(pos) != fr.keyAt(pos) {
+			t.Fatalf("n=%d: keyAt(%d) = %v, want %v", n, pos, br.keyAt(pos), fr.keyAt(pos))
 		}
-		for trial := 0; trial < 300; trial++ {
-			var probe rdf.EncodedTriple
-			if n > 0 && trial%2 == 0 {
-				probe = keys[rng.Intn(n)] // existing key
-			} else {
-				probe = rdf.EncodedTriple{
-					rdf.ID(rng.Intn(n + 2)), rdf.ID(rng.Intn(20)), rdf.ID(rng.Intn(n + 2))}
-			}
-			if got, want := br.contains(probe), fr.contains(probe); got != want {
-				t.Fatalf("n=%d: contains(%v) = %v, want %v", n, probe, got, want)
-			}
-			for depth := 0; depth <= 3; depth++ {
-				for _, upper := range []bool{false, true} {
-					from := 0
-					if n > 0 && rng.Intn(3) == 0 {
-						from = rng.Intn(n)
-					}
-					got := br.search(from, probe, depth, upper)
-					want := fr.search(from, probe, depth, upper)
-					if got != want {
-						t.Fatalf("n=%d: search(%d, %v, %d, %v) = %d, want %d",
-							n, from, probe, depth, upper, got, want)
-					}
-				}
-				wantLo := fr.search(0, probe, depth, false)
-				wantHi := fr.search(wantLo, probe, depth, true)
-				gotLo, gotHi := br.(*blockRun).searchRange(probe, depth)
-				if gotLo != wantLo || gotHi != wantHi {
-					t.Fatalf("n=%d: searchRange(%v, %d) = [%d,%d), want [%d,%d)",
-						n, probe, depth, gotLo, gotHi, wantLo, wantHi)
-				}
-			}
+	}
+	for trial := 0; trial < 300; trial++ {
+		var probe rdf.EncodedTriple
+		switch {
+		case n > 0 && trial%2 == 0:
+			probe = keys[rng.Intn(n)] // existing key
+		case n > 0 && trial%4 == 1:
+			// A near miss: an existing key with one component nudged.
+			probe = keys[rng.Intn(n)]
+			probe[rng.Intn(3)] += rdf.ID(rng.Intn(3)) - 1
+		default:
+			probe = rdf.EncodedTriple{
+				rdf.ID(rng.Intn(n + 2)), rdf.ID(rng.Intn(20)), rdf.ID(rng.Intn(n + 2))}
 		}
-		// fill must reproduce the key sequence from any start position.
-		var a spanArena
-		for lo := 0; lo < n; lo += 1 + rng.Intn(blockSize/2+1) {
-			br.fill(&a, lo, n)
-			if a.key(a.idx) != keys[lo] {
-				t.Fatalf("n=%d: fill(%d) decodes %v at idx, want %v", n, lo, a.key(a.idx), keys[lo])
-			}
-			for i := a.idx; i < a.n; i++ {
-				if a.key(i) != keys[lo+i-a.idx] {
-					t.Fatalf("n=%d: fill(%d) wrong at offset %d", n, lo, i-a.idx)
+		if got, want := br.contains(probe), fr.contains(probe); got != want {
+			t.Fatalf("n=%d: contains(%v) = %v, want %v", n, probe, got, want)
+		}
+		for depth := 0; depth <= 3; depth++ {
+			for _, upper := range []bool{false, true} {
+				from := 0
+				if n > 0 && rng.Intn(3) == 0 {
+					from = rng.Intn(n)
+				}
+				got := br.search(from, probe, depth, upper)
+				want := fr.search(from, probe, depth, upper)
+				if got != want {
+					t.Fatalf("n=%d: search(%d, %v, %d, %v) = %d, want %d",
+						n, from, probe, depth, upper, got, want)
 				}
 			}
-		}
-		for pos := 0; pos <= n; pos++ {
-			ap := br.alignSplit(pos)
-			if ap > pos || ap%blockSize != 0 && ap != n {
-				t.Fatalf("n=%d: alignSplit(%d) = %d", n, pos, ap)
+			wantLo := fr.search(0, probe, depth, false)
+			wantHi := fr.search(wantLo, probe, depth, true)
+			gotLo, gotHi := br.searchRange(probe, depth)
+			if gotLo != wantLo || gotHi != wantHi {
+				t.Fatalf("n=%d: searchRange(%v, %d) = [%d,%d), want [%d,%d)",
+					n, probe, depth, gotLo, gotHi, wantLo, wantHi)
 			}
 		}
+	}
+	// fill must reproduce the key sequence from any start position, and stop
+	// at hi and at the end of lo's block.
+	var a spanArena
+	for lo := 0; lo < n; lo += 1 + rng.Intn(blockSize/2+1) {
+		hi := lo + 1 + rng.Intn(n-lo)
+		br.fill(&a, lo, hi)
+		if a.idx != 0 || a.n < 1 || lo+a.n > hi || a.n > blockSize {
+			t.Fatalf("n=%d: fill(%d, %d) window [%d, %d)", n, lo, hi, a.idx, a.n)
+		}
+		for i := a.idx; i < a.n; i++ {
+			if a.key(i) != keys[lo+i] {
+				t.Fatalf("n=%d: fill(%d) wrong at offset %d", n, lo, i)
+			}
+		}
+	}
+	for pos := 0; pos <= n; pos++ {
+		ap := br.alignSplit(pos)
+		if ap > pos || ap%blockSize != 0 && ap != n {
+			t.Fatalf("n=%d: alignSplit(%d) = %d", n, pos, ap)
+		}
+	}
+	return br
+}
+
+// TestPackedWidthEdges pins the frame-of-reference widths at their extremes —
+// a constant column (width 0), IDs spanning the whole uint32 range (width
+// 32), a one-key block and a one-key final block — and checks every run
+// primitive against the flat oracle there.
+func TestPackedWidthEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const top = math.MaxUint32
+	constant := make([]rdf.EncodedTriple, 0, 2*blockSize+5)
+	for i := 0; i < cap(constant); i++ {
+		constant = append(constant, rdf.EncodedTriple{rdf.ID(10 + i/3), 7, rdf.ID(1 + i%3)})
+	}
+	wide := make([]rdf.EncodedTriple, 0, blockSize+300)
+	for i := 0; i < cap(wide); i++ {
+		c2 := rdf.ID(1)
+		if i%2 == 1 {
+			c2 = top - rdf.ID(i)
+		}
+		wide = append(wide, rdf.EncodedTriple{rdf.ID(top - cap(wide) + i), rdf.ID(1 + rng.Intn(top-1)), c2})
+	}
+	oneKey := []rdf.EncodedTriple{{top, top, top}}
+	tail := sortedRandomKeys(rng, blockSize+1)
+	for _, tc := range []struct {
+		name  string
+		keys  []rdf.EncodedTriple
+		check func(t *testing.T, br *blockRun)
+	}{
+		{"constant", constant, func(t *testing.T, br *blockRun) {
+			for bi, m := range br.meta {
+				if m.width[1] != 0 {
+					t.Fatalf("block %d: constant column has width %d", bi, m.width[1])
+				}
+			}
+		}},
+		{"wide", wide, func(t *testing.T, br *blockRun) {
+			if m := br.meta[0]; m.width[1] != 32 && m.width[2] != 32 {
+				t.Fatalf("full-range columns packed at widths %v", m.width)
+			}
+		}},
+		{"one-key", oneKey, func(t *testing.T, br *blockRun) {
+			if m := br.meta[0]; m.width != [3]uint8{} || m.plen != 0 {
+				t.Fatalf("one-key block has widths %v, plen %d", m.width, m.plen)
+			}
+		}},
+		{"partial-tail", tail, func(t *testing.T, br *blockRun) {
+			if m := br.meta[len(br.meta)-1]; m.count != 1 || m.plen != 0 {
+				t.Fatalf("final block holds %d keys in %d bytes", m.count, m.plen)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			br := checkRunAgainstFlat(t, rng, tc.keys)
+			for bi := range br.meta {
+				if err := checkPackedMeta(&br.meta[bi]); err != nil {
+					t.Fatalf("block %d: builder output fails the directory check: %v", bi, err)
+				}
+			}
+			tc.check(t, br)
+		})
+	}
+}
+
+// TestPackedReadsAllocFree pins that in-place searches and point reads
+// allocate nothing: no decode scratch, pooled or otherwise.
+func TestPackedReadsAllocFree(t *testing.T) {
+	keys := sortedRandomKeys(rand.New(rand.NewSource(3)), 4*blockSize)
+	br := buildRun(blockCodec{}, keys).(*blockRun)
+	probe := keys[len(keys)/2+5]
+	for name, f := range map[string]func(){
+		"searchRange": func() { br.searchRange(probe, 2) },
+		"contains":    func() { br.contains(probe) },
+		"keyAt":       func() { br.keyAt(len(keys)/2 + 5) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.1f times per call", name, n)
+		}
+	}
+}
+
+// TestFillWindowOnly pins that a fill unpacks only the requested window: a
+// 2-key probe range yields a 2-key span, not the rest of its block.
+func TestFillWindowOnly(t *testing.T) {
+	keys := sortedRandomKeys(rand.New(rand.NewSource(8)), 2*blockSize)
+	br := buildRun(blockCodec{}, keys).(*blockRun)
+	lo := blockSize + 100
+	var a spanArena
+	br.fill(&a, lo, lo+2)
+	if a.n != 2 || a.idx != 0 {
+		t.Fatalf("2-key fill produced window [%d, %d)", a.idx, a.n)
+	}
+	if a.key(0) != keys[lo] || a.key(1) != keys[lo+1] {
+		t.Fatalf("2-key fill produced %v %v, want %v %v", a.key(0), a.key(1), keys[lo], keys[lo+1])
+	}
+}
+
+// TestBlockMemBytes pins the per-block accounting to the fence entry's real
+// size plus its max0 mirror slot.
+func TestBlockMemBytes(t *testing.T) {
+	br := buildRun(blockCodec{}, sortedRandomKeys(rand.New(rand.NewSource(4)), 3*blockSize)).(*blockRun)
+	perBlock := int64(unsafe.Sizeof(blockMeta{})) + 4
+	if want := int64(len(br.meta))*perBlock + int64(len(br.data)); br.memBytes() != want {
+		t.Fatalf("memBytes = %d, want %d", br.memBytes(), want)
 	}
 }
 
@@ -208,38 +330,54 @@ func TestBlockLoadBitFlips(t *testing.T) {
 	}
 }
 
-// FuzzBlockDecode hammers the raw in-block decoder with arbitrary payload
-// bytes and fence metadata: every outcome must be a clean error or a decode
-// whose keys are in range — never a panic, never an out-of-bounds read.
+// FuzzBlockDecode hammers the packed directory check and the in-place
+// readers behind it with arbitrary counts, widths, payload lengths, bases and
+// payload bytes: every input must end in a clean checkPackedMeta error or in
+// reads whose values all sit inside their column's frame — never a panic,
+// never an out-of-bounds read — and the in-place reads must agree with fill.
 func FuzzBlockDecode(f *testing.F) {
 	keys := sortedRandomKeys(rand.New(rand.NewSource(5)), 600)
-	valid := appendBlockPayload(nil, keys)
-	f.Add(uint16(len(keys)), uint32(keys[0][0]), uint32(keys[0][1]), uint32(keys[0][2]), valid)
-	f.Add(uint16(1), uint32(1), uint32(1), uint32(1), []byte{})
-	f.Add(uint16(3), uint32(7), uint32(9), uint32(2), []byte{0x01, 0x01, 0x02, 0x02, 0x03, 0x03})
-	f.Fuzz(func(t *testing.T, count uint16, min0, min1, min2 uint32, payload []byte) {
-		if count == 0 {
-			return
+	valid := buildRun(blockCodec{}, keys).(*blockRun)
+	m := valid.meta[0]
+	f.Add(uint16(m.count), m.width[0], m.width[1], m.width[2], m.plen,
+		uint32(m.base[0]), uint32(m.base[1]), uint32(m.base[2]), valid.data)
+	f.Add(uint16(1), uint8(0), uint8(0), uint8(0), uint32(0), uint32(1), uint32(1), uint32(1), make([]byte, packSlack))
+	f.Add(uint16(3), uint8(32), uint8(32), uint8(1), uint32(25), uint32(7), uint32(0), uint32(math.MaxUint32), make([]byte, 25+packSlack))
+	f.Fuzz(func(t *testing.T, count uint16, w0, w1, w2 uint8, plen uint32, b0, b1, b2 uint32, payload []byte) {
+		m := blockMeta{
+			plen:  plen,
+			count: uint32(count),
+			width: [3]uint8{w0, w1, w2},
+			base:  rdf.EncodedTriple{rdf.ID(b0), rdf.ID(b1), rdf.ID(b2)},
 		}
-		r := &blockRun{
-			meta: []blockMeta{{
-				off:   0,
-				plen:  uint32(len(payload)),
-				count: uint32(count),
-				min:   rdf.EncodedTriple{rdf.ID(min0), rdf.ID(min1), rdf.ID(min2)},
-				max:   rdf.EncodedTriple{^rdf.ID(0), ^rdf.ID(0), ^rdf.ID(0)},
-			}},
-			data: payload,
-			n:    int(count),
+		m.min, m.max = m.base, m.base
+		if checkPackedMeta(&m) != nil || int(m.plen)+packSlack > len(payload) {
+			return // rejected by the directory, or by the caller's extent check
 		}
+		r := &blockRun{meta: []blockMeta{m}, data: payload, n: int(count)}
 		var a spanArena
-		a.grow(int(count))
-		if err := r.decodeBlock(0, a.c0, a.c1, a.c2); err != nil {
-			return
+		r.fill(&a, 0, r.n)
+		if a.n != r.n {
+			t.Fatalf("fill of a %d-key block unpacked %d keys", r.n, a.n)
 		}
-		// A successful decode must yield exactly count keys starting at min.
-		if a.key(0) != r.meta[0].min {
-			t.Fatal("decode did not start at the fence min key")
+		for i := 0; i < a.n; i++ {
+			k := a.key(i)
+			for c := range m.width {
+				if uint64(k[c]-m.base[c]) >= uint64(1)<<m.width[c] {
+					t.Fatalf("key %d column %d value %d outside its %d-bit frame", i, c, k[c], m.width[c])
+				}
+				if col := r.column(0, c); col.at(i) != k[c] {
+					t.Fatalf("key %d column %d: in-place read %d, fill %d", i, c, col.at(i), k[c])
+				}
+			}
+		}
+		// Searches over garbage order must stay in bounds too.
+		for _, probe := range []rdf.EncodedTriple{a.key(0), a.key(a.n - 1), m.base} {
+			for depth := 1; depth <= 3; depth++ {
+				if lo, hi := r.blockRange(0, probe, depth); lo < 0 || hi < lo || hi > r.n {
+					t.Fatalf("blockRange(%v, %d) = [%d, %d) outside [0, %d)", probe, depth, lo, hi, r.n)
+				}
+			}
 		}
 	})
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // Codec selects the storage representation for a graph's immutable sorted
-// runs. The block codec is the production default (delta/varint block
-// compression, see block.go); the flat codec is the original fixed-width
-// layout, kept selectable as the differential-test oracle and for
-// flat-vs-block benchmarking.
+// runs. The block codec is the production default (bit-packed
+// frame-of-reference blocks searched in place, see block.go); the flat codec
+// is the original fixed-width layout, kept selectable as the
+// differential-test oracle and for flat-vs-block benchmarking.
 type Codec uint8
 
 const (
-	// CodecBlock stores runs as fixed-size compressed blocks.
+	// CodecBlock stores runs as fixed-size bit-packed blocks.
 	CodecBlock Codec = iota
 	// CodecFlat stores runs as plain []rdf.EncodedTriple slices.
 	CodecFlat

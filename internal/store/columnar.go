@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"slices"
 
 	"sofos/internal/rdf"
@@ -12,8 +13,8 @@ import (
 // OSP) — with the triple components stored in that permutation's key order,
 // so every bound-component prefix of a triple pattern maps to one contiguous
 // run range found by binary search. The runs are stored behind the run
-// interface (run.go): flat fixed-width slices or delta/varint-compressed
-// blocks (block.go), chosen per graph by codec. On top of the immutable runs
+// interface (run.go): flat fixed-width slices or bit-packed blocks
+// (block.go), chosen per graph by codec. On top of the immutable runs
 // sits a small mutable delta overlay (pending inserts and tombstones) that is
 // merged into fresh runs once it exceeds a fraction of the base (LSM-style).
 // Readers capture the run plus a copy of the in-range delta, so scans never
@@ -96,9 +97,9 @@ func rangeOf(r run, key rdf.EncodedTriple, depth int) (lo, hi int) {
 		return 0, r.size()
 	}
 	if br, ok := r.(*blockRun); ok {
-		// Combined bound search: one fence narrowing and at most one decode
-		// when both bounds land in the same block — the common case for
-		// selective probes.
+		// Combined bound search: one fence narrowing and one in-place column
+		// search when both bounds land in the same block — the common case
+		// for selective probes.
 		return br.searchRange(key, depth)
 	}
 	lo = r.search(0, key, depth, false)
@@ -110,8 +111,8 @@ func rangeOf(r run, key rdf.EncodedTriple, depth int) (lo, hi int) {
 // depth-prefix is ≥ key's (upper=false) or > key's (upper=true). Depths 1
 // and 2 reduce to a lower-bound search against a packed integer target
 // (upper bound = lower bound of target+1), keeping the comparison loop
-// branch-light. This is the flat-slice search primitive, shared by flatRun,
-// the delta-overlay slices, and in-block searches over decoded columns.
+// branch-light. This is the flat-slice search primitive, shared by flatRun
+// and the delta-overlay slices.
 func searchPrefix(run []rdf.EncodedTriple, from int, key rdf.EncodedTriple, depth int, upper bool) int {
 	lo, hi := from, len(run)
 	switch depth {
@@ -131,6 +132,9 @@ func searchPrefix(run []rdf.EncodedTriple, from int, key rdf.EncodedTriple, dept
 	case 2:
 		target := uint64(key[0])<<32 | uint64(key[1])
 		if upper {
+			if target == math.MaxUint64 {
+				return hi // no prefix sorts after the largest one
+			}
 			target++
 		}
 		for lo < hi {
@@ -305,7 +309,7 @@ func (it *Iterator) Next() bool {
 // (already in s, p, o order) and consumes it, returning empty slices once the
 // iterator is exhausted. When the delta overlay is empty — the common state
 // after a bulk load or compaction — the slices alias the iterator's decode
-// arena directly: one block decode per call, zero copying, zero allocation.
+// arena directly: one block unpack per call, zero copying, zero allocation.
 // The slices are valid only until the next NextSpan or Next call.
 //
 // NextSpan and Next may be interleaved; both consume the same sequence.
@@ -388,7 +392,7 @@ func (it *Iterator) Remaining() int {
 // base run (and so stays a consistent snapshot) and owns a disjoint slice of
 // the delta buffers, so the parts may be iterated from different goroutines
 // concurrently — every part gets its own decode arena, lazily. Partition
-// boundaries are aligned to block starts so no part ever decodes a partial
+// boundaries are aligned to block starts so no part ever unpacks a partial
 // block at its edges. This is the data-parallel scan primitive: the engine
 // splits a leading pattern range into per-worker sub-ranges.
 func (it *Iterator) Split(n int) []Iterator {

@@ -1,7 +1,8 @@
 // Package store implements the dictionary-encoded, fully indexed in-memory
 // triple store that serves as SOFOS's RDF substrate. A Graph maintains
-// three columnar permutation indexes (SPO, POS, OSP) — flat sorted runs
-// with binary-search range lookup plus a small LSM-style delta overlay — so
+// three columnar permutation indexes (SPO, POS, OSP) — sorted runs, flat or
+// in bit-packed blocks searched in place, with binary-search range lookup
+// plus a small LSM-style delta overlay — so
 // that every triple-pattern shape, any combination of bound and unbound
 // components, is answered by one contiguous range scan. This is the layout
 // of native RDF stores such as RDF-3X/HDT and is what the paper assumes of

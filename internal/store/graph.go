@@ -409,7 +409,7 @@ func (g *Graph) Match(s, p, o rdf.ID, yield func(s, p, o rdf.ID) bool) {
 // Estimate returns the exact number of triples matching the pattern, read
 // off a permutation range length (corrected by the in-range delta overlay).
 // For block runs the range endpoints come from fence searches, so interior
-// blocks are counted without being decoded. Used by the planner for greedy
+// blocks are counted without being read. Used by the planner for greedy
 // join ordering.
 func (g *Graph) Estimate(s, p, o rdf.ID) int {
 	g.mu.RLock()

@@ -22,7 +22,7 @@ import (
 // (StorageMmap). All integers are varints unless noted.
 //
 //	magic "SOFOSGR3" (8 bytes)
-//	codec (1 byte, 1 = block)
+//	codec (1 byte: 2 = bit-packed blocks; 1 = legacy varint blocks)
 //	blockSize
 //	pageSize                       (power of two in [minPageSize, maxPageSize])
 //	termCount + terms              (as v1/v2)
@@ -32,19 +32,34 @@ import (
 //	                                persisted so load never scans payloads)
 //	per permutation (SPO, POS, OSP):
 //	  keyCount, blockCount, pageCount
-//	  per block: count, min (3), max (3), payloadLen,
-//	             pageIdx, pageOff, crc32(payload) (4 bytes LE)
+//	  per block: count, min (3), max (3),
+//	             base (3), width (3)          (codec 2 only: the packed frames)
+//	             payloadLen, pageIdx, pageOff, crc32(payload) (4 bytes LE)
 //	crc32 of everything above (4 bytes LE — the directory checksum)
 //	zero padding to the next pageSize boundary
 //	per permutation: pageCount pages of pageSize bytes, block payloads packed
 //	                 greedily in block order, zero fill at each page tail
+//	                 (codec 2 payloads never enter a page's last packSlack
+//	                 bytes, so every in-place 64-bit read stays in the page)
 //	(exact EOF — any truncation or growth fails the size check)
 //
+// The packed layout took a new codec byte rather than a new magic: the file
+// structure is unchanged, only the payload encoding and the two per-block
+// frame fields differ. Save writes codec 2. Codec 1 files (written before bit
+// packing) still load, through the one load-time transcoder (legacy.go) into
+// heap runs.
+//
 // Loading validates the header and directory exhaustively (the directory
-// checksum catches every corrupted header byte) but does not touch payload
-// pages: per-block CRCs verify lazily on first decode under mmap, eagerly
-// under heap storage (where the bytes were just read anyway). That is what
-// makes recovery O(open + WAL suffix) — see core.Restore.
+// checksum catches every corrupted header byte, and checkPackedMeta proves
+// each payload length from count and widths alone) but does not touch payload
+// pages: per-block CRCs verify lazily on a block's first read under mmap,
+// eagerly under heap storage (where the bytes were just read anyway). That is
+// what makes recovery O(open + WAL suffix) — see core.Restore.
+const (
+	snapshotCodecVarint = 1 // legacy delta/varint block payloads (legacy.go)
+	snapshotCodecPacked = 2 // bit-packed frame-of-reference payloads (block.go)
+)
+
 const (
 	defaultPageSize = 64 << 10
 	minPageSize     = 512
@@ -73,8 +88,10 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 		return err
 	}
 	// Greedy page assignment: blocks in order, a new page whenever the next
-	// payload would cross the boundary. Deterministic from the payload
-	// lengths, so the loader can (and does) verify it as a canonical form.
+	// payload would cross into the page's packSlack tail reserve.
+	// Deterministic from the payload lengths, so the loader can (and does)
+	// verify it as a canonical form.
+	room := pageSize - packSlack
 	type runLayout struct {
 		pageIdx []uint32
 		pageOff []uint32
@@ -88,10 +105,10 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 		po := 0
 		for bi := range br.meta {
 			plen := int(br.meta[bi].plen)
-			if plen > pageSize {
+			if plen > room {
 				return fmt.Errorf("store: block payload of %d bytes exceeds page size %d", plen, pageSize)
 			}
-			if po+plen > pageSize {
+			if po+plen > room {
 				lay.pages++
 				po = 0
 			}
@@ -107,7 +124,7 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 	if err := w.writeString(snapshotMagicV3); err != nil {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
 	}
-	if err := w.writeByte(1); err != nil {
+	if err := w.writeByte(snapshotCodecPacked); err != nil {
 		return fmt.Errorf("store: writing codec: %w", err)
 	}
 	if err := w.uvarint(blockSize); err != nil {
@@ -144,9 +161,14 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 			if err := w.uvarint(uint64(m.count)); err != nil {
 				return fmt.Errorf("store: writing block header: %w", err)
 			}
-			for _, t := range []rdf.EncodedTriple{m.min, m.max} {
+			for _, t := range []rdf.EncodedTriple{m.min, m.max, m.base} {
 				if err := w.key(t); err != nil {
 					return fmt.Errorf("store: writing block fences: %w", err)
+				}
+			}
+			for _, wd := range m.width {
+				if err := w.uvarint(uint64(wd)); err != nil {
+					return fmt.Errorf("store: writing block widths: %w", err)
 				}
 			}
 			if err := w.uvarint(uint64(m.plen)); err != nil {
@@ -272,8 +294,8 @@ func readIDCounts(r byteScanner, section string, maxID rdf.ID) (map[rdf.ID]int, 
 }
 
 // readFenceKey reads one directory fence key, validating every component is a
-// dictionary ID. v2 defers this to full decode validation; v3 must check at
-// the directory because payloads are not read at load.
+// dictionary ID. v2 defers this to full decode validation (transcode); v3
+// must check at the directory because payloads are not read at load.
 func readFenceKey(r byteScanner, maxID rdf.ID) (rdf.EncodedTriple, error) {
 	var t rdf.EncodedTriple
 	for c := 0; c < 3; c++ {
@@ -290,10 +312,12 @@ func readFenceKey(r byteScanner, maxID rdf.ID) (rdf.EncodedTriple, error) {
 }
 
 // readPagedRun reads one permutation's v3 directory into a blockRun whose
-// data region is attached by the caller. It enforces the canonical greedy
-// page packing, so every structurally distinct directory byte matters — any
-// deviation is corrupt.
-func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, error) {
+// data region is attached by the caller. packed selects the codec-2 directory
+// (with per-block frames, each checked by checkPackedMeta); otherwise the
+// blocks hold legacy varint payloads for transcode. It enforces the canonical
+// greedy page packing, so every structurally distinct directory byte matters
+// — any deviation is corrupt.
+func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID, packed bool) (*blockRun, int, error) {
 	keyCount, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("reading key count: %w", err)
@@ -315,6 +339,12 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, er
 	metaCap := blockCount
 	if metaCap > 1<<20 {
 		metaCap = 1 << 20
+	}
+	// Packed pages keep a packSlack tail reserve that payloads never enter;
+	// legacy varint pages fill to the end.
+	room := uint64(pageSize)
+	if packed {
+		room -= packSlack
 	}
 	br := &blockRun{
 		meta: make([]blockMeta, 0, metaCap),
@@ -346,15 +376,37 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, er
 		if bi > 0 && cmpKeys(br.meta[bi-1].max, min) >= 0 {
 			return nil, 0, fmt.Errorf("block %d: fences regress across blocks", bi)
 		}
+		m := blockMeta{count: uint32(count), start: start, min: min, max: max}
+		if packed {
+			if m.base, err = readFenceKey(r, maxID); err != nil {
+				return nil, 0, fmt.Errorf("reading block %d frame base: %w", bi, err)
+			}
+			for c := range m.width {
+				wd, err := binary.ReadUvarint(r)
+				if err != nil {
+					return nil, 0, fmt.Errorf("reading block %d frame width: %w", bi, err)
+				}
+				if wd > 32 {
+					return nil, 0, fmt.Errorf("block %d: column %d width %d exceeds 32 bits", bi, c, wd)
+				}
+				m.width[c] = uint8(wd)
+			}
+		}
 		plen, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, 0, fmt.Errorf("reading block %d payload length: %w", bi, err)
 		}
-		if plen > maxBlockCount*3*binary.MaxVarintLen32 || plen > uint64(pageSize) {
+		if plen > maxBlockCount*3*binary.MaxVarintLen32 || plen > room {
 			return nil, 0, fmt.Errorf("block %d: payload length %d exceeds limit", bi, plen)
 		}
 		if count == 1 && plen != 0 {
 			return nil, 0, fmt.Errorf("block %d: one-key block with a %d-byte payload", bi, plen)
+		}
+		m.plen = uint32(plen)
+		if packed {
+			if err := checkPackedMeta(&m); err != nil {
+				return nil, 0, fmt.Errorf("block %d: %w", bi, err)
+			}
 		}
 		pageIdx, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -364,7 +416,7 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, er
 		if err != nil {
 			return nil, 0, fmt.Errorf("reading block %d page offset: %w", bi, err)
 		}
-		if pageIdx >= pageCount || pageOff+plen > uint64(pageSize) {
+		if pageIdx >= pageCount || pageOff+plen > room {
 			return nil, 0, fmt.Errorf("block %d: payload outside its page", bi)
 		}
 		// Canonical greedy packing: same page tightly after the previous
@@ -383,7 +435,7 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, er
 					return nil, 0, fmt.Errorf("block %d: payload not packed tightly", bi)
 				}
 			case prevIdx + 1:
-				if pageOff != 0 || prevEnd+plen <= uint64(pageSize) {
+				if pageOff != 0 || prevEnd+plen <= room {
 					return nil, 0, fmt.Errorf("block %d: page break without overflow", bi)
 				}
 			default:
@@ -397,14 +449,8 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, er
 		if off64+int64(plen) > math.MaxUint32 {
 			return nil, 0, fmt.Errorf("block %d: run region exceeds addressable range", bi)
 		}
-		br.meta = append(br.meta, blockMeta{
-			off:   uint32(off64),
-			plen:  uint32(plen),
-			count: uint32(count),
-			start: start,
-			min:   min,
-			max:   max,
-		})
+		m.off = uint32(off64)
+		br.meta = append(br.meta, m)
 		br.crcs = append(br.crcs, binary.LittleEndian.Uint32(crcb[:]))
 		start += int(count)
 	}
@@ -439,15 +485,19 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 		return nil, fmt.Errorf("store: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
+	var hdr [len(snapshotMagicV3) + 1]byte // magic + v3 codec byte
+	n, err := io.ReadFull(f, hdr[:])
+	if n < len(snapshotMagicV3) {
 		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("store: seeking snapshot: %w", err)
 	}
-	if string(magic[:]) != snapshotMagicV3 {
-		// v1/v2 predate paging: stream-load them on the heap.
+	if n < len(hdr) || string(hdr[:len(snapshotMagicV3)]) != snapshotMagicV3 || hdr[len(snapshotMagicV3)] != snapshotCodecPacked {
+		// v1/v2 predate paging and v3 varint payloads predate bit packing:
+		// stream-load them on the heap (transcoding legacy blocks). The file
+		// is not adopted as a paged source, so the next checkpoint rewrites
+		// it in the current layout.
 		return LoadWithCodec(f, c)
 	}
 	var g *Graph
@@ -477,7 +527,9 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 
 // loadPagedBytes builds a graph over a complete v3 snapshot image. st labels
 // how the image is resident (and decides lazy vs eager payload checksums);
-// the image itself was supplied by the caller.
+// the image itself was supplied by the caller. Legacy varint images must come
+// in as StorageHeap: they are transcoded into fresh heap runs and the image
+// is not retained.
 func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 	r := bytes.NewReader(full)
 	pos := func() int { return len(full) - r.Len() }
@@ -492,9 +544,10 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading codec: %w", err)
 	}
-	if codecByte != 1 {
+	if codecByte != snapshotCodecPacked && codecByte != snapshotCodecVarint {
 		return nil, fmt.Errorf("store: unknown snapshot codec %d", codecByte)
 	}
+	packed := codecByte == snapshotCodecPacked
 	blockSz, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading block size: %w", err)
@@ -542,7 +595,7 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 	var pageCounts [numPerms]int
 	totalPages := 0
 	for k := permKind(0); k < numPerms; k++ {
-		br, pc, err := readPagedRun(r, pageSz, maxID)
+		br, pc, err := readPagedRun(r, pageSz, maxID, packed)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %s run directory: %w", permName(k), err)
 		}
@@ -576,7 +629,7 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 		if st == StorageHeap {
 			// The heap path already paid O(data) to read the file, so verify
 			// every payload up front: Load from untrusted bytes then fails
-			// with an error instead of a first-decode panic.
+			// with an error instead of a first-read panic.
 			for bi := range br.meta {
 				if err := br.checkCRC(bi); err != nil {
 					return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
@@ -584,26 +637,19 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 			}
 		}
 	}
-	if c == CodecFlat {
-		// Flat target: decode everything (validating as v2 does, including
-		// the cross-permutation set digest) and discard the paged form.
+	if !packed || c == CodecFlat {
+		// Legacy payloads, or a flat target: decode everything once through
+		// transcode (validating as v2 does, including the cross-permutation
+		// set digest) into heap runs, and discard the paged form.
 		var sums [numPerms]uint64
 		for k := permKind(0); k < numPerms; k++ {
-			br := runs[k]
-			capHint := br.n
-			if capHint > 1<<20 {
-				capHint = 1 << 20
+			br, decode := runs[k], runs[k].unpackBlock
+			if !packed {
+				decode = br.decodeVarint
 			}
-			flatKeys := make([]rdf.EncodedTriple, 0, capHint)
-			kk := k
-			sum, err := br.validate(k, maxID, func(s, p, o rdf.ID) {
-				flatKeys = append(flatKeys, kk.key(s, p, o))
-			})
-			if err != nil {
+			if g.runs[k], sums[k], err = transcode(br, decode, g.codec, k, maxID, nil); err != nil {
 				return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
 			}
-			sums[k] = sum
-			g.runs[k] = flatRun(flatKeys)
 		}
 		if sums[permPOS] != sums[permSPO] || sums[permOSP] != sums[permSPO] {
 			return nil, fmt.Errorf("store: permutation runs disagree on content")
@@ -621,10 +667,10 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 		g.pages = ps
 	}
 	// Install the delta overlay. Tombstones must reference run triples and
-	// inserts must be new, or scans would double-count; each check decodes at
+	// inserts must be new, or scans would double-count; each check reads at
 	// most one block, so boot cost stays O(overlay), not O(data). Under mmap
-	// those lazy decodes are the one place load itself can trip a payload CRC
-	// — which surfaces as a tagged panic on the trusted-decode path — so the
+	// those lazy reads are the one place load itself can trip a payload CRC
+	// — which surfaces as a tagged panic on the trusted read path — so the
 	// checks run under a recover that turns it back into a load error.
 	if err := checkOverlayMembership(g, adds, dels); err != nil {
 		return nil, err
@@ -651,7 +697,7 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 }
 
 // checkOverlayMembership validates overlay sections against the runs,
-// converting the tagged corruption panic a lazily verified (mmap) block decode
+// converting the tagged corruption panic a lazily verified (mmap) block read
 // can raise into a plain load error.
 func checkOverlayMembership(g *Graph, adds, dels []rdf.EncodedTriple) (err error) {
 	defer func() {

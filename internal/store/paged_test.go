@@ -154,6 +154,36 @@ func TestPagedLoadSkipsPayloadReads(t *testing.T) {
 	}
 }
 
+// TestMmapLoadVerifiesLazily pins that an mmap load checks no payload CRC
+// until a read needs the block: a point lookup verifies at most the one
+// block it reads, and a full scan then verifies the whole run.
+func TestMmapLoadVerifiesLazily(t *testing.T) {
+	g := pagedTestGraph(t, 3*blockSize)
+	g.Compact() // no overlay: load's membership checks would read blocks
+	loaded, err := LoadFileWith(writeSnapshotFile(t, pagedBytes(t, g, 4096)), CodecBlock, StorageMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := loaded.MemStats()
+	if ms.SPO.Blocks < 2 || ms.SPO.Verified+ms.POS.Verified+ms.OSP.Verified != 0 {
+		t.Fatalf("fresh mmap load: %d SPO blocks, %d/%d/%d verified; want ≥2 blocks, none verified",
+			ms.SPO.Blocks, ms.SPO.Verified, ms.POS.Verified, ms.OSP.Verified)
+	}
+	probe := g.SortedTriples()[g.Len()/2]
+	if !loaded.Contains(probe) {
+		t.Fatalf("Contains(%v) = false", probe)
+	}
+	if v := loaded.MemStats().SPO.Verified; v > 1 {
+		t.Fatalf("one point lookup verified %d of %d SPO blocks", v, ms.SPO.Blocks)
+	}
+	if n, corrupt := scanOutcome(loaded); corrupt != "" || n != loaded.Len() {
+		t.Fatalf("full scan: %d triples (want %d), corruption %q", n, loaded.Len(), corrupt)
+	}
+	if ms := loaded.MemStats(); ms.SPO.Verified != ms.SPO.Blocks {
+		t.Fatalf("after a full scan %d of %d SPO blocks verified", ms.SPO.Verified, ms.SPO.Blocks)
+	}
+}
+
 // TestPagedTruncationEveryPrefix feeds every prefix of a v3 snapshot through
 // the byte loader (heap) and, at a stride, through file loads under both
 // storages: nothing but the full input may load.

@@ -30,7 +30,7 @@ type run interface {
 	// verifiedBlocks returns how many blocks have had their payload CRC
 	// checked. Runs without lazy snapshot CRCs (flat, or built/verified
 	// in-process) count every block as verified; for mmap-backed runs the
-	// count grows as lazy first-decode verification touches blocks.
+	// count grows as lazy first-read verification touches blocks.
 	verifiedBlocks() int
 
 	// search returns the first position in [from, size()] whose depth-prefix
@@ -42,19 +42,19 @@ type run interface {
 	// contains reports whether the exact key is present.
 	contains(key rdf.EncodedTriple) bool
 
-	// keyAt returns the key at a position. O(1) for flat runs and for block
-	// fence positions (first/last key of a block); decodes one block
-	// otherwise — callers use it for split boundaries, never per triple.
+	// keyAt returns the key at a position: O(1) for both codecs (block runs
+	// read a fence key or three packed values in place).
 	keyAt(pos int) rdf.EncodedTriple
 
 	// fill decodes a span starting at position lo (bounded by hi) into the
 	// arena, setting a.idx so a.key(a.idx) is the key at lo. It decodes at
-	// least one key; callers guarantee lo < hi ≤ size().
+	// least one key and at most one block or chunk, never past hi; callers
+	// guarantee lo < hi ≤ size().
 	fill(a *spanArena, lo, hi int)
 
 	// alignSplit rounds a tentative split position down to the nearest cheap
 	// boundary (a block start; flat runs return pos unchanged), so Split
-	// partitions never force partial-block decodes at partition edges.
+	// partitions never share a block at partition edges.
 	alignSplit(pos int) int
 
 	// clone returns an independent deep copy.
@@ -92,35 +92,25 @@ func runSize(r run) int {
 	return r.size()
 }
 
-// spanArena is a per-iterator reusable decode buffer: one block (or flat
-// chunk) at a time is decoded into SoA column slices, and iteration consumes
-// [idx, n). Reusing the arena across refills and scans means steady-state
-// iteration performs zero per-triple allocation for either codec.
-//
-// src/bi remember which block run and block index the columns currently hold,
-// so block-codec refills and point lookups that land in the same block skip
-// the decode — the common case for index-ordered probe streams like join
-// bindings. Any path that overwrites the columns through grow invalidates the
-// cache; only blockRun decode paths set it.
+// spanArena is a per-iterator reusable decode buffer: one span of a block (or
+// flat chunk) at a time is unpacked into SoA column slices, and iteration
+// consumes [idx, n). Reusing the arena across refills and scans means
+// steady-state iteration performs zero per-triple allocation for either
+// codec.
 type spanArena struct {
 	c0, c1, c2 []rdf.ID
 	idx, n     int
-	src        *blockRun
-	bi         int
 }
 
 // grow ensures capacity for n decoded keys and resets the window to [0, n).
-// The caller is about to overwrite the columns, so the block cache is
-// invalidated.
 func (a *spanArena) grow(n int) {
 	if cap(a.c0) < n {
 		a.c0 = make([]rdf.ID, n)
 		a.c1 = make([]rdf.ID, n)
 		a.c2 = make([]rdf.ID, n)
 	}
-	a.c0, a.c1, a.c2 = a.c0[:cap(a.c0)][:n], a.c1[:cap(a.c1)][:n], a.c2[:cap(a.c2)][:n]
+	a.c0, a.c1, a.c2 = a.c0[:n], a.c1[:n], a.c2[:n]
 	a.idx, a.n = 0, n
-	a.src = nil
 }
 
 // key assembles the permuted key at arena index i.
@@ -137,7 +127,7 @@ const spanChunk = blockSize
 
 // flatCodec is the original fixed-width representation: 12 bytes per key,
 // binary-searchable in place. It remains selectable as the differential-test
-// oracle and the zero-decode baseline.
+// oracle and the zero-unpack baseline.
 type flatCodec struct{}
 
 func (flatCodec) name() string { return "flat" }

@@ -23,11 +23,10 @@ import (
 //	tripleCount
 //	  per triple: s, p, o as dictionary IDs (1-based, in dictionary order)
 //
-// v2 (block graphs) persists the compressed blocks verbatim, so saving and
-// loading a block graph never re-encodes the runs:
+// v2 (block graphs, legacy varint payloads — see legacy.go):
 //
 //	magic "SOFOSGR2" (8 bytes)
-//	codec (1 byte, 1 = block)
+//	codec (1 byte, 1 = varint blocks)
 //	blockSize
 //	termCount + terms (as v1)
 //	addCount,  per add: s, p, o    (delta-overlay inserts, SPO-sorted)
@@ -38,14 +37,13 @@ import (
 //	    per block: count, min (3 ints), max (3 ints), payloadLen, payload
 //
 // Load sniffs the magic, so every version loads under either process codec:
-// v1 data is re-encoded through the target codec's builder, v2/v3 block data
-// is installed verbatim (block target) or decoded to flat (flat target).
-// Every v2 block is fully decode-validated before the graph is returned — see
-// blockRun.validate — and the three permutations are cross-checked with an
-// order-independent hash, so a corrupt snapshot fails loudly instead of
-// serving garbage. v3 — the paged, mmap-able layout block graphs save as —
-// lives in paged.go; Save stopped emitting v2 when v3 landed, but v2 inputs
-// load forever.
+// v1 data is re-encoded through the target codec's builder; v2 blocks, and v3
+// blocks in the legacy varint layout, are decoded once and re-encoded through
+// the target codec's builder (transcode), which also fully validates them and
+// cross-checks the three permutations with an order-independent hash, so a
+// corrupt snapshot fails loudly instead of serving garbage. v3 — the paged,
+// mmap-able layout block graphs save as — lives in paged.go. Nothing writes
+// v2 any more, but v2 inputs load forever.
 const (
 	snapshotMagic   = "SOFOSGR1"
 	snapshotMagicV2 = "SOFOSGR2"
@@ -148,15 +146,6 @@ func (g *Graph) Save(w io.Writer) error {
 	return g.saveV1Locked(sw)
 }
 
-// saveV2 writes the legacy v2 snapshot. Nothing emits v2 anymore; it exists
-// so compatibility tests can produce v2 inputs against the live writer
-// instead of frozen fixture bytes.
-func (g *Graph) saveV2(w io.Writer) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.saveV2Locked(&snapshotWriter{bw: bufio.NewWriterSize(w, 1<<16)})
-}
-
 func (g *Graph) saveV1Locked(w *snapshotWriter) error {
 	if err := w.writeString(snapshotMagic); err != nil {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
@@ -178,7 +167,7 @@ func (g *Graph) saveV1Locked(w *snapshotWriter) error {
 }
 
 // writeOverlays writes the delta-overlay sections (adds then dels),
-// SPO-sorted, shared by the v2 and v3 writers.
+// SPO-sorted, in the layout v2 and v3 share.
 func (g *Graph) writeOverlays(w *snapshotWriter) error {
 	for _, overlay := range []map[rdf.EncodedTriple]struct{}{g.adds, g.dels} {
 		keys := make([]rdf.EncodedTriple, 0, len(overlay))
@@ -216,56 +205,6 @@ func (g *Graph) blockRunsLocked() ([numPerms]*blockRun, error) {
 		}
 	}
 	return brs, nil
-}
-
-func (g *Graph) saveV2Locked(w *snapshotWriter) error {
-	if err := w.writeString(snapshotMagicV2); err != nil {
-		return fmt.Errorf("store: writing snapshot header: %w", err)
-	}
-	if err := w.writeByte(1); err != nil {
-		return fmt.Errorf("store: writing codec: %w", err)
-	}
-	if err := w.uvarint(blockSize); err != nil {
-		return fmt.Errorf("store: writing block size: %w", err)
-	}
-	if err := g.writeTerms(w); err != nil {
-		return err
-	}
-	if err := g.writeOverlays(w); err != nil {
-		return err
-	}
-	brs, err := g.blockRunsLocked()
-	if err != nil {
-		return err
-	}
-	for k := permKind(0); k < numPerms; k++ {
-		br := brs[k]
-		if err := w.uvarint(uint64(br.n)); err != nil {
-			return fmt.Errorf("store: writing run size: %w", err)
-		}
-		if err := w.uvarint(uint64(len(br.meta))); err != nil {
-			return fmt.Errorf("store: writing block count: %w", err)
-		}
-		for bi := range br.meta {
-			m := &br.meta[bi]
-			if err := w.uvarint(uint64(m.count)); err != nil {
-				return fmt.Errorf("store: writing block header: %w", err)
-			}
-			for _, t := range []rdf.EncodedTriple{m.min, m.max} {
-				if err := w.key(t); err != nil {
-					return fmt.Errorf("store: writing block fences: %w", err)
-				}
-			}
-			payload := br.data[m.off:br.payloadEnd(bi)]
-			if err := w.uvarint(uint64(len(payload))); err != nil {
-				return fmt.Errorf("store: writing block payload length: %w", err)
-			}
-			if err := w.writeRaw(payload); err != nil {
-				return fmt.Errorf("store: writing block payload: %w", err)
-			}
-		}
-	}
-	return w.bw.Flush()
 }
 
 // Load reads a snapshot written by Save into a fresh graph using the
@@ -415,7 +354,7 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading codec: %w", err)
 	}
-	if codecByte != 1 {
+	if codecByte != snapshotCodecVarint {
 		return nil, fmt.Errorf("store: unknown snapshot codec %d", codecByte)
 	}
 	blockSz, err := binary.ReadUvarint(br)
@@ -453,42 +392,20 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 	for k := permKind(0); k < numPerms; k++ {
 		r, err := readBlockRun(br)
 		if err != nil {
-			return nil, fmt.Errorf("store: reading %s run: %w", [numPerms]string{"SPO", "POS", "OSP"}[k], err)
-		}
-		var flatKeys []rdf.EncodedTriple
-		if c == CodecFlat {
-			capHint := r.n
-			if capHint > 1<<20 {
-				capHint = 1 << 20
-			}
-			flatKeys = make([]rdf.EncodedTriple, 0, capHint)
+			return nil, fmt.Errorf("store: reading %s run: %w", permName(k), err)
 		}
 		var each func(s, p, o rdf.ID)
-		switch {
-		case k == permSPO:
-			kk := k
+		if k == permSPO {
 			each = func(s, p, o rdf.ID) {
 				g.countS[s]++
 				g.countP[p]++
 				g.countO[o]++
-				if flatKeys != nil {
-					flatKeys = append(flatKeys, kk.key(s, p, o))
-				}
 			}
-		case flatKeys != nil:
-			kk := k
-			each = func(s, p, o rdf.ID) { flatKeys = append(flatKeys, kk.key(s, p, o)) }
 		}
-		sum, err := r.validate(k, maxID, each)
-		if err != nil {
-			return nil, fmt.Errorf("store: %s run: %w", [numPerms]string{"SPO", "POS", "OSP"}[k], err)
+		if g.runs[k], sums[k], err = transcode(r, r.decodeVarint, g.codec, k, maxID, each); err != nil {
+			return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
 		}
-		sums[k], sizes[k] = sum, r.n
-		if c == CodecFlat {
-			g.runs[k] = flatRun(flatKeys)
-		} else {
-			g.runs[k] = r
-		}
+		sizes[k] = r.n
 	}
 	if sizes[permPOS] != sizes[permSPO] || sizes[permOSP] != sizes[permSPO] ||
 		sums[permPOS] != sums[permSPO] || sums[permOSP] != sums[permSPO] {
@@ -556,9 +473,9 @@ func readOverlaySection(br byteScanner, section string, maxID rdf.ID) ([]rdf.Enc
 	return keys, nil
 }
 
-// readBlockRun reads one permutation's block list. Structural validation
-// beyond what bounds the allocations happens afterwards in
-// blockRun.validate, which fully decodes every block.
+// readBlockRun reads one permutation's v2 block list. Structural validation
+// beyond what bounds the allocations happens afterwards in transcode, which
+// fully decodes every block.
 func readBlockRun(br *bufio.Reader) (*blockRun, error) {
 	keyCount, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -629,6 +546,5 @@ func readBlockRun(br *bufio.Reader) (*blockRun, error) {
 		r.meta = append(r.meta, m)
 		start += int(count)
 	}
-	r.fenceInit()
 	return r, nil
 }
