@@ -670,18 +670,24 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 
 // --- Codec: block-compressed runs vs flat ---
 
-// codecGraph builds a dataset graph under one codec and compacts the overlay
-// so the benchmarks run against pure immutable runs.
-func codecGraph(b *testing.B, dataset string, scale int, codec store.Codec) (*store.Graph, *facet.Facet) {
+// benchCodecs are the run layouts the codec benchmarks compare: production
+// block runs and the flat oracle (store.FlatOracle) as the zero-unpack
+// baseline.
+var benchCodecs = []string{"flat", "block"}
+
+// codecGraph builds a dataset graph, rebuilt in the flat oracle layout when
+// codec is "flat", and compacts the overlay so the benchmarks run against
+// pure immutable runs.
+func codecGraph(b *testing.B, dataset string, scale int, codec string) (*store.Graph, *facet.Facet) {
 	b.Helper()
-	prev := store.DefaultCodec()
-	store.SetDefaultCodec(codec)
-	defer store.SetDefaultCodec(prev)
 	g, f, err := datasets.BuildWithFacet(dataset, scale, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	g.Compact()
+	if codec == "flat" {
+		g = store.FlatOracle(g)
+	}
 	return g, f
 }
 
@@ -695,7 +701,7 @@ func BenchmarkScanCodec(b *testing.B) {
 		name  string
 		scale int
 	}{{"lubm", 100}, {"dbpedia", 2000}} {
-		for _, codec := range []store.Codec{store.CodecFlat, store.CodecBlock} {
+		for _, codec := range benchCodecs {
 			g, f := codecGraph(b, ds.name, ds.scale, codec)
 			ms := g.MemStats()
 			b.Run(fmt.Sprintf("scan/%s@%d/%s", ds.name, ds.scale, codec), func(b *testing.B) {
@@ -742,7 +748,7 @@ func BenchmarkScanCodec(b *testing.B) {
 // fill that yields the match. The probes are 256 such (s, p) pairs spread
 // evenly over the SPO order and cycled.
 func BenchmarkProbeCodec(b *testing.B) {
-	for _, codec := range []store.Codec{store.CodecFlat, store.CodecBlock} {
+	for _, codec := range benchCodecs {
 		g, _ := codecGraph(b, "dbpedia", 2000, codec)
 		probes := narrowPairs(g, 256)
 		b.Run(fmt.Sprintf("dbpedia@2000/%s", codec), func(b *testing.B) {
@@ -791,36 +797,34 @@ func narrowPairs(g *store.Graph, n int) [][2]rdf.ID {
 	return out
 }
 
-// BenchmarkSnapshotLoadCodec measures cold snapshot loads per codec — v1 flat
-// snapshots vs v2 block snapshots whose payloads are installed verbatim. The
-// snapshot_bytes metric reports the serialized size per codec.
+// BenchmarkSnapshotLoadCodec measures cold snapshot loads of block graphs,
+// whose packed payloads are installed verbatim. The snapshot_bytes metric
+// reports the serialized size.
 func BenchmarkSnapshotLoadCodec(b *testing.B) {
 	for _, ds := range []struct {
 		name  string
 		scale int
 	}{{"lubm", 100}, {"dbpedia", 2000}} {
-		for _, codec := range []store.Codec{store.CodecFlat, store.CodecBlock} {
-			b.Run(fmt.Sprintf("%s@%d/%s", ds.name, ds.scale, codec), func(b *testing.B) {
-				g, _ := codecGraph(b, ds.name, ds.scale, codec)
-				var buf bytes.Buffer
-				if err := g.Save(&buf); err != nil {
+		b.Run(fmt.Sprintf("%s@%d/block", ds.name, ds.scale), func(b *testing.B) {
+			g, _ := codecGraph(b, ds.name, ds.scale, "block")
+			var buf bytes.Buffer
+			if err := g.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loaded, err := store.Load(bytes.NewReader(buf.Bytes()))
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					loaded, err := store.LoadWithCodec(bytes.NewReader(buf.Bytes()), codec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if loaded.Len() != g.Len() {
-						b.Fatalf("loaded %d triples, want %d", loaded.Len(), g.Len())
-					}
+				if loaded.Len() != g.Len() {
+					b.Fatalf("loaded %d triples, want %d", loaded.Len(), g.Len())
 				}
-				// After ResetTimer: it clears custom metrics on recent Go.
-				b.ReportMetric(float64(buf.Len()), "snapshot_bytes")
-			})
-		}
+			}
+			// After ResetTimer: it clears custom metrics on recent Go.
+			b.ReportMetric(float64(buf.Len()), "snapshot_bytes")
+		})
 	}
 }
 
@@ -833,7 +837,7 @@ func BenchmarkSnapshotLoadCodec(b *testing.B) {
 // mapped_bytes metrics report where the run payloads live — the
 // larger-than-RAM headline: mmap keeps them out of the Go heap entirely.
 func BenchmarkScanStorage(b *testing.B) {
-	g, _ := codecGraph(b, "dbpedia", 2000, store.CodecBlock)
+	g, _ := codecGraph(b, "dbpedia", 2000, "block")
 	path := filepath.Join(b.TempDir(), "graph.snap")
 	f, err := os.Create(path)
 	if err != nil {
@@ -846,7 +850,7 @@ func BenchmarkScanStorage(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
-		loaded, err := store.LoadFileWith(path, store.CodecBlock, st)
+		loaded, err := store.LoadFileWith(path, st)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,21 +49,15 @@ func run(args []string, stdout io.Writer) error {
 	maintenance := fs.Bool("maintenance", false, "run only the view-maintenance scenario: an update-heavy replay contrasting incremental O(|ΔG|) refresh with full recompute")
 	maintRounds := fs.Int("maintenance-rounds", 20, "update batches to replay in the maintenance scenario")
 	maintBatch := fs.Int("maintenance-batch", 16, "triples per update batch in the maintenance scenario")
-	codecName := fs.String("codec", "block", "run storage codec: block (compressed) or flat")
 	storageName := fs.String("storage", "heap", "paged-snapshot load storage: heap or mmap (page-cache backed)")
 	reportMetrics := fs.String("report-metrics", "", "replay the workload against an in-process server and write its final /v1/metrics scrape to this file (a metric-shape fixture)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	codec, err := store.ParseCodec(*codecName)
-	if err != nil {
 		return err
 	}
 	st, err := store.ParseStorage(*storageName)
 	if err != nil {
 		return err
 	}
-	store.SetDefaultCodec(codec)
 	store.SetDefaultStorage(st)
 	start := time.Now()
 	var tables []*benchkit.Table

@@ -51,7 +51,9 @@ func TestBenchMarkdownToFile(t *testing.T) {
 
 func TestBenchBadFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-nonsense"}, &b); err == nil {
-		t.Error("bad flag accepted")
+	for _, flag := range []string{"-nonsense", "-codec=flat"} {
+		if err := run([]string{flag}, &b); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }

@@ -74,7 +74,6 @@ type config struct {
 	dataDir            string
 	walSync            string
 	checkpointInterval time.Duration
-	codec              string
 	storage            string
 	replica            string
 	replicaID          string
@@ -103,7 +102,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty = memory-only")
 	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always (sync before every ack), interval (background sync), none")
 	fs.DurationVar(&c.checkpointInterval, "checkpoint-interval", 0, "write a checkpoint this often (0 = only at boot, on view changes, and via /admin/checkpoint)")
-	fs.StringVar(&c.codec, "codec", "block", "run storage codec: block (compressed) or flat")
 	fs.StringVar(&c.storage, "storage", "heap", "paged-snapshot load storage: heap or mmap (page-cache backed, serves graphs larger than RAM)")
 	fs.StringVar(&c.replica, "replica", "", "run as a read replica of the primary at this base URL (e.g. http://primary:8080); ignores -data-dir and dataset flags")
 	fs.StringVar(&c.replicaID, "replica-id", "", "replica identity in progress reports and the primary's /v1/stats (default replica-<pid>)")
@@ -122,15 +120,10 @@ func parseFlags(args []string) (*config, error) {
 	if c.replica != "" && c.dataDir != "" {
 		return nil, fmt.Errorf("-replica and -data-dir are mutually exclusive: replicas keep no durable state")
 	}
-	codec, err := store.ParseCodec(c.codec)
-	if err != nil {
-		return nil, err
-	}
 	st, err := store.ParseStorage(c.storage)
 	if err != nil {
 		return nil, err
 	}
-	store.SetDefaultCodec(codec)
 	store.SetDefaultStorage(st)
 	return c, nil
 }

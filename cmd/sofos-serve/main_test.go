@@ -25,6 +25,9 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-scale", "banana"}); err == nil {
 		t.Error("bad flag value accepted")
 	}
+	if _, err := parseFlags([]string{"-codec=flat"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-codec flag: err = %v, want an undefined-flag error", err)
+	}
 }
 
 func TestBuildServerRejectsUnknowns(t *testing.T) {

@@ -45,7 +45,6 @@ type commonFlags struct {
 	k       int
 	model   string
 	workers int
-	codec   string
 	storage string
 }
 
@@ -57,24 +56,17 @@ func addCommon(fs *flag.FlagSet) *commonFlags {
 	fs.IntVar(&c.k, "k", 3, "view budget")
 	fs.StringVar(&c.model, "model", "aggvalues", "cost model: random, triples, aggvalues, nodes")
 	fs.IntVar(&c.workers, "workers", 0, "parallel execution workers per query (0 = all CPUs, 1 = serial)")
-	fs.StringVar(&c.codec, "codec", "block", "run storage codec: block (compressed) or flat")
 	fs.StringVar(&c.storage, "storage", "heap", "paged-snapshot load storage: heap or mmap (page-cache backed)")
 	return c
 }
 
-// applyCodec validates the -codec and -storage flags and installs them as the
-// process-wide defaults, so every graph the subcommand builds or loads uses
-// them.
-func (c *commonFlags) applyCodec() error {
-	codec, err := store.ParseCodec(c.codec)
-	if err != nil {
-		return err
-	}
+// applyStorage validates the -storage flag and installs it as the
+// process-wide default, so every snapshot the subcommand loads uses it.
+func (c *commonFlags) applyStorage() error {
 	st, err := store.ParseStorage(c.storage)
 	if err != nil {
 		return err
 	}
-	store.SetDefaultCodec(codec)
 	store.SetDefaultStorage(st)
 	return nil
 }
@@ -159,7 +151,7 @@ func cmdLattice(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -197,7 +189,7 @@ func cmdInspect(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -243,7 +235,7 @@ func cmdSelect(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -287,7 +279,7 @@ func cmdCompare(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	env, err := experiments.NewEnvWithOptions(c.dataset, c.scale, c.seed, *wl, c.opts())
@@ -309,7 +301,7 @@ func cmdAnalyze(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	env, err := experiments.NewEnvWithOptions(c.dataset, c.scale, c.seed, *wl, c.opts())
@@ -337,7 +329,7 @@ func cmdWorkload(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -379,7 +371,7 @@ func cmdReplay(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	if *file == "" {
@@ -456,7 +448,7 @@ func cmdQuery(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -519,7 +511,7 @@ func cmdSnapshot(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	if err := c.applyStorage(); err != nil {
 		return err
 	}
 	switch {

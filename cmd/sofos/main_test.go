@@ -30,6 +30,10 @@ func TestUnknownCommand(t *testing.T) {
 	if err := run([]string{"frobnicate"}, &b); err == nil {
 		t.Error("unknown command accepted")
 	}
+	// Runs have one layout; the removed -codec flag is undefined.
+	if err := run([]string{"lattice", "-codec=flat"}, &b); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-codec flag: err = %v, want an undefined-flag error", err)
+	}
 }
 
 func TestLatticeCommand(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 )
 
 // TestEngineDifferentialFlatVsBlock runs identical random BGP workloads over
-// a flat-codec and a block-codec graph and requires bit-identical answers.
+// a block graph and a flat-oracle graph (store.FlatOracle) and requires
+// bit-identical answers.
 // Unlike the brute-force reference tests this uses graphs large enough that
 // the block runs really span many blocks and the vectorized NextSpan path is
 // the one the executor exercises — the flat codec is the oracle. Interleaved
@@ -19,8 +20,8 @@ import (
 // everything on pure multi-block runs.
 func TestEngineDifferentialFlatVsBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
-	flat := store.NewGraphWithCodec(store.CodecFlat)
-	block := store.NewGraphWithCodec(store.CodecBlock)
+	flat := store.FlatOracle(store.NewGraph())
+	block := store.NewGraph()
 
 	addRandom := func(n int) {
 		for i := 0; i < n; i++ {

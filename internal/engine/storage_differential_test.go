@@ -28,7 +28,7 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	// Build the seed graph with the same vocabulary the flat-vs-block
 	// differential uses: a tiny dense core randomBGPQuery knows about plus a
 	// wide subject space so runs span many blocks and pages.
-	seed := store.NewGraphWithCodec(store.CodecBlock)
+	seed := store.NewGraph()
 	addRandomTo := func(g *store.Graph, n int) {
 		for i := 0; i < n; i++ {
 			s := rdf.NewIRI(fmt.Sprintf("http://n%d", rng.Intn(6)))
@@ -70,11 +70,11 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	}
 	loadPair := func(path string) (heap, mm *store.Graph) {
 		t.Helper()
-		heap, err := store.LoadFileWith(path, store.CodecBlock, store.StorageHeap)
+		heap, err := store.LoadFileWith(path, store.StorageHeap)
 		if err != nil {
 			t.Fatalf("heap load: %v", err)
 		}
-		mm, err = store.LoadFileWith(path, store.CodecBlock, store.StorageMmap)
+		mm, err = store.LoadFileWith(path, store.StorageMmap)
 		if err != nil {
 			if strings.Contains(err.Error(), "not supported") {
 				t.Skipf("mmap storage unavailable: %v", err)

@@ -18,7 +18,7 @@ import (
 // magic, directories, CRCs, page regions — not a placeholder string.
 func v3SnapshotBytes(t *testing.T, n int) []byte {
 	t.Helper()
-	g := store.NewGraphWithCodec(store.CodecBlock)
+	g := store.NewGraph()
 	for i := 0; i < n; i++ {
 		g.MustAdd(rdf.Triple{
 			S: rdf.NewIRI(fmt.Sprintf("http://kp/s%d", i%17)),

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -42,8 +41,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Maintain != "" && req.Maintain != "lazy" && req.Maintain != "eager" {
@@ -341,8 +339,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req api.ViewsRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s.handleViewsAction(w, req)

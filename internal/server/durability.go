@@ -91,13 +91,8 @@ func (s *Server) checkpointState(sys *core.System) (*persist.Manifest, error) {
 		return nil, err
 	}
 	// The freshly published snapshot is a faithful paged image of the current
-	// content; future unchanged checkpoints can link it in turn. (When the
-	// graph was serialized with a non-block codec the file is v1 and linking
-	// never applies — AdoptPagedSource is still harmless, PagedSource only
-	// matters for files Save wrote in paged form.)
-	if sys.Graph.CodecName() == "block" {
-		sys.Graph.AdoptPagedSource(cp.GraphPath())
-	}
+	// content; future unchanged checkpoints can link it in turn.
+	sys.Graph.AdoptPagedSource(cp.GraphPath())
 	if _, err := s.dur.Log.TruncateBefore(seq); err != nil {
 		// The checkpoint is complete and correct; stale segments only cost
 		// disk until the next truncation succeeds.

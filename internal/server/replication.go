@@ -145,8 +145,7 @@ func (s *Server) handleReplicaAck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.ReplicaAckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID == "" {

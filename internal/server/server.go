@@ -44,6 +44,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -322,8 +323,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			req.Workers = n
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 	default:
@@ -545,6 +545,30 @@ func writeCachedBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
+}
+
+// maxBodyBytes bounds every JSON request body, so one client cannot make the
+// server buffer an unbounded body. Queries, view actions and replica progress
+// reports are a few KB; 16 MiB still fits an update batch of some 100k
+// N-Triples lines.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes. On failure it writes the error envelope — 413 for an
+// over-limit body, 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // httpError writes the uniform error envelope: a stable machine-readable

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -216,6 +218,38 @@ func TestQueryErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty update: expected 400, got %d", resp.StatusCode)
+	}
+}
+
+// repeatByte is an endless reader of one byte value, so a test can stream a
+// huge request body without holding it in memory.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestQueryBodyOverLimit posts a /v1/query body past maxBodyBytes: it must be
+// refused with 413 in the error envelope, and the server must keep answering.
+func TestQueryBodyOverLimit(t *testing.T) {
+	h := New(newSystem(t), Config{}).Handler()
+	body := io.MultiReader(strings.NewReader(`{"query":"`), io.LimitReader(repeatByte('a'), maxBodyBytes))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit body: status %d, want 413 (body %.200s)", rec.Code, rec.Body.String())
+	}
+	var e api.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != api.CodeBadRequest || e.Error.Message == "" {
+		t.Fatalf("over-limit body: envelope %q (err %v)", rec.Body.String(), err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/query?q="+url.QueryEscape(apexQuery), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query after the rejected body: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 

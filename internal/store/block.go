@@ -641,16 +641,6 @@ func (r *blockRun) alignSplit(pos int) int {
 	return r.meta[bi].start
 }
 
-func (r *blockRun) clone() run {
-	// The copy is trusted in-process heap memory, so snapshot CRCs (verified
-	// or not once the bytes are re-read here) are dropped rather than carried.
-	c := &blockRun{n: r.n}
-	c.meta = append([]blockMeta(nil), r.meta...)
-	c.data = append([]byte(nil), r.data...)
-	c.fenceInit()
-	return c
-}
-
 // tripleHash mixes one triple into a 64-bit value; summed over a run it forms
 // an order-independent set digest used to cross-check permutations.
 func tripleHash(s, p, o rdf.ID) uint64 {

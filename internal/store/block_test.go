@@ -235,7 +235,7 @@ func TestBlockMemBytes(t *testing.T) {
 func blockSnapshotBytes(t testing.TB, n int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
-	g := NewGraphWithCodec(CodecBlock)
+	g := NewGraph()
 	keys := sortedRandomKeys(rng, n)
 	for i := range keys {
 		g.MustAdd(tr(
@@ -269,20 +269,18 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestBlockLoadTruncationEveryPrefix feeds LoadWithCodec every prefix of a
-// valid v2 snapshot under both target codecs: all but the full input must
-// return an error — never panic, never a silently short graph.
+// TestBlockLoadTruncationEveryPrefix feeds Load every prefix of a valid v2
+// snapshot: all but the full input must return an error — never panic, never
+// a silently short graph.
 func TestBlockLoadTruncationEveryPrefix(t *testing.T) {
 	full := blockSnapshotBytes(t, 120)
-	for _, codec := range []Codec{CodecBlock, CodecFlat} {
-		for cut := 0; cut < len(full); cut++ {
-			if _, err := LoadWithCodec(bytes.NewReader(full[:cut]), codec); err == nil {
-				t.Fatalf("codec %v: truncation at %d/%d loaded successfully", codec, cut, len(full))
-			}
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d loaded successfully", cut, len(full))
 		}
-		if _, err := LoadWithCodec(bytes.NewReader(full), codec); err != nil {
-			t.Fatalf("codec %v: full snapshot failed: %v", codec, err)
-		}
+	}
+	if _, err := Load(bytes.NewReader(full)); err != nil {
+		t.Fatalf("full snapshot failed: %v", err)
 	}
 }
 
@@ -383,31 +381,29 @@ func FuzzBlockDecode(f *testing.F) {
 }
 
 // FuzzSnapshotLoadV2 mirrors FuzzSnapshotLoad for the v2 block format: every
-// mutated input either loads into a consistent graph (under both target
-// codecs) or errors — no panics, no runaway allocations.
+// mutated input either loads into a consistent graph or errors — no panics,
+// no runaway allocations.
 func FuzzSnapshotLoadV2(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagicV2))
 	f.Add(blockSnapshotBytes(f, 120))
 	var empty bytes.Buffer
-	if err := NewGraphWithCodec(CodecBlock).saveV2(&empty); err != nil {
+	if err := NewGraph().saveV2(&empty); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range []Codec{CodecBlock, CodecFlat} {
-			g, err := LoadWithCodec(bytes.NewReader(data), codec)
-			if err != nil {
-				continue
-			}
-			n := 0
-			it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-			for it.Next() {
-				n++
-			}
-			if n != g.Len() {
-				t.Fatalf("codec %v: loaded graph inconsistent: Len()=%d, scan=%d", codec, g.Len(), n)
-			}
+		g, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := 0
+		it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
+		for it.Next() {
+			n++
+		}
+		if n != g.Len() {
+			t.Fatalf("loaded graph inconsistent: Len()=%d, scan=%d", g.Len(), n)
 		}
 	})
 }

@@ -3,22 +3,23 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
 	"sofos/internal/rdf"
 )
 
-// TestDifferentialFlatVsBlock drives a flat-codec graph and a block-codec
-// graph side by side through a randomized insert/delete workload and asserts
+// TestDifferentialFlatVsBlock drives a flat-oracle graph (FlatOracle) and a
+// block graph side by side through a randomized insert/delete workload and asserts
 // bit-identical results for every read API the engine consumes — Match,
 // Estimate, Contains, Scan, NextSpan, Remaining, and Split — including
 // states with a live delta overlay and freshly compacted states. The flat
 // codec is the differential oracle: any divergence is a block-codec bug.
 func TestDifferentialFlatVsBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
-	flat := NewGraphWithCodec(CodecFlat)
-	block := NewGraphWithCodec(CodecBlock)
+	flat := FlatOracle(NewGraph())
+	block := NewGraph()
 
 	// Pre-intern a fixed term universe so both graphs speak the same IDs.
 	nS, nP, nO := 40, 6, 50
@@ -169,19 +170,19 @@ func collectSpans(it Iterator) []rdf.EncodedTriple {
 	}
 }
 
-// TestSnapshotCrossCodec proves the version-gated load matrix: a v1 (flat)
-// snapshot loads under the block codec, a v2 (block) snapshot loads under
-// the flat codec, and both round-trips preserve contents exactly — the
+// TestSnapshotCrossCodec proves the version-gated load matrix: a v1 snapshot
+// of a flat-oracle graph and a v3 snapshot of a block graph both load into
+// block runs, and both round-trips preserve contents exactly — the
 // durability layer's cross-version recovery path.
 func TestSnapshotCrossCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	build := func(c Codec) *Graph {
-		g := NewGraphWithCodec(c)
+	build := func() *Graph {
+		g := NewGraph()
 		for i := 0; i < 3000; i++ {
 			g.MustAdd(tr(fmt.Sprintf("s%d", rng.Intn(300)), fmt.Sprintf("p%d", rng.Intn(8)),
 				fmt.Sprintf("o%d", rng.Intn(400))))
 		}
-		// Leave a live overlay so v2 snapshots exercise the overlay sections.
+		// Leave a live overlay so v3 snapshots exercise the overlay sections.
 		for i := 0; i < 40; i++ {
 			g.Remove(tr(fmt.Sprintf("s%d", rng.Intn(300)), fmt.Sprintf("p%d", rng.Intn(8)),
 				fmt.Sprintf("o%d", rng.Intn(400))))
@@ -189,45 +190,50 @@ func TestSnapshotCrossCodec(t *testing.T) {
 		}
 		return g
 	}
-	for _, src := range []Codec{CodecFlat, CodecBlock} {
-		g := build(src)
+	flat, block := FlatOracle(build()), build()
+	if err := flat.Save(io.Discard); err == nil {
+		t.Fatal("a flat-oracle graph saved a snapshot; snapshots hold block runs only")
+	}
+	for _, src := range []struct {
+		name, magic string
+		g           *Graph
+		save        func(io.Writer) error
+	}{
+		{"flat/v1", snapshotMagic, flat, flat.saveV1},
+		{"block/v3", snapshotMagicV3, block, block.Save},
+	} {
+		g := src.g
 		var buf bytes.Buffer
-		if err := g.Save(&buf); err != nil {
-			t.Fatalf("save %v: %v", src, err)
+		if err := src.save(&buf); err != nil {
+			t.Fatalf("save %s: %v", src.name, err)
 		}
-		wantMagic := snapshotMagic
-		if src == CodecBlock {
-			wantMagic = snapshotMagicV3
-		}
-		if got := string(buf.Bytes()[:8]); got != wantMagic {
-			t.Fatalf("%v snapshot wrote magic %q, want %q", src, got, wantMagic)
+		if got := string(buf.Bytes()[:8]); got != src.magic {
+			t.Fatalf("%s snapshot wrote magic %q, want %q", src.name, got, src.magic)
 		}
 		want := g.SortedTriples()
-		for _, dst := range []Codec{CodecFlat, CodecBlock} {
-			loaded, err := LoadWithCodec(bytes.NewReader(buf.Bytes()), dst)
-			if err != nil {
-				t.Fatalf("load %v snapshot under %v: %v", src, dst, err)
+		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("load %s snapshot: %v", src.name, err)
+		}
+		if c := loaded.MemStats().Codec; c != "block" {
+			t.Fatalf("load %s: loaded graph reports codec %q, want block", src.name, c)
+		}
+		if loaded.Len() != g.Len() {
+			t.Fatalf("load %s: Len %d, want %d", src.name, loaded.Len(), g.Len())
+		}
+		got := loaded.SortedTriples()
+		if len(got) != len(want) {
+			t.Fatalf("load %s: %d triples, want %d", src.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("load %s: triple %d is %v, want %v", src.name, i, got[i], want[i])
 			}
-			if loaded.CodecName() != dst.String() {
-				t.Fatalf("loaded graph reports codec %q, want %q", loaded.CodecName(), dst)
-			}
-			if loaded.Len() != g.Len() {
-				t.Fatalf("load %v→%v: Len %d, want %d", src, dst, loaded.Len(), g.Len())
-			}
-			got := loaded.SortedTriples()
-			if len(got) != len(want) {
-				t.Fatalf("load %v→%v: %d triples, want %d", src, dst, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("load %v→%v: triple %d is %v, want %v", src, dst, i, got[i], want[i])
-				}
-			}
-			// Statistics must come back exact, not just contents.
-			if loaded.DistinctNodes() != g.DistinctNodes() ||
-				loaded.DistinctPredicates() != g.DistinctPredicates() {
-				t.Fatalf("load %v→%v: distinct-component statistics diverged", src, dst)
-			}
+		}
+		// Statistics must come back exact, not just contents.
+		if loaded.DistinctNodes() != g.DistinctNodes() ||
+			loaded.DistinctPredicates() != g.DistinctPredicates() {
+			t.Fatalf("load %s: distinct-component statistics diverged", src.name)
 		}
 	}
 }
@@ -237,8 +243,8 @@ func TestSnapshotCrossCodec(t *testing.T) {
 func TestMemStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var batch []rdf.EncodedTriple
-	flat := NewGraphWithCodec(CodecFlat)
-	block := NewGraphWithCodec(CodecBlock)
+	flat := FlatOracle(NewGraph())
+	block := NewGraph()
 	for i := 0; i < 20000; i++ {
 		batch = append(batch, rdf.EncodedTriple{
 			rdf.ID(1 + rng.Intn(2000)), rdf.ID(1 + rng.Intn(10)), rdf.ID(1 + rng.Intn(4000))})

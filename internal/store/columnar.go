@@ -13,8 +13,8 @@ import (
 // OSP) — with the triple components stored in that permutation's key order,
 // so every bound-component prefix of a triple pattern maps to one contiguous
 // run range found by binary search. The runs are stored behind the run
-// interface (run.go): flat fixed-width slices or bit-packed blocks
-// (block.go), chosen per graph by codec. On top of the immutable runs
+// interface (run.go) as bit-packed blocks (block.go); test oracles swap in
+// flat fixed-width slices (FlatOracle). On top of the immutable runs
 // sits a small mutable delta overlay (pending inserts and tombstones) that is
 // merged into fresh runs once it exceeds a fraction of the base (LSM-style).
 // Readers capture the run plus a copy of the in-range delta, so scans never

@@ -1,8 +1,8 @@
 // Package store implements the dictionary-encoded, fully indexed in-memory
 // triple store that serves as SOFOS's RDF substrate. A Graph maintains
-// three columnar permutation indexes (SPO, POS, OSP) — sorted runs, flat or
-// in bit-packed blocks searched in place, with binary-search range lookup
-// plus a small LSM-style delta overlay — so
+// three columnar permutation indexes (SPO, POS, OSP) — sorted runs of
+// bit-packed blocks searched in place, with binary-search range lookup plus
+// a small LSM-style delta overlay — so
 // that every triple-pattern shape, any combination of bound and unbound
 // components, is answered by one contiguous range scan. This is the layout
 // of native RDF stores such as RDF-3X/HDT and is what the paper assumes of
@@ -20,8 +20,9 @@
 //
 // Beyond point mutations (Add/Remove), the store offers batched bulk paths
 // (LoadTriples/LoadEncoded/RemoveTriples, BuildFrom) that take the write
-// lock once and sort-merge into the runs, a near-O(n) memcpy Clone used to
-// derive the expanded graph G+, exact pattern-cardinality Estimate for the
+// lock once and sort-merge into the runs, a Clone that shares the immutable
+// runs and costs O(overlay + dictionary), used to derive the expanded graph
+// G+, exact pattern-cardinality Estimate for the
 // planner, per-predicate statistics (Stats), a binary snapshot format
 // (Save/Load), and Version — a mutation counter view catalogs compare to
 // detect staleness. Apply commits a whole insert+delete batch under one
@@ -31,5 +32,6 @@
 // O(|Δ|) read-only union of the graph and extra triples — sharing the
 // immutable runs — which maintenance uses to evaluate delete-side joins
 // against the pre-update state. NestedMapGraph preserves the seed's
-// nested-map design as a differential-testing and benchmarking baseline.
+// nested-map design, and FlatOracle the original flat run layout, as
+// differential-testing and benchmarking baselines.
 package store

@@ -30,7 +30,8 @@ type Graph struct {
 	mu   sync.RWMutex
 	dict *rdf.Dict
 
-	// codec encodes the immutable runs; see Codec for the public selection.
+	// codec encodes the immutable runs: blockCodec, except in FlatOracle
+	// graphs.
 	codec runCodec
 
 	// runs are the immutable sorted columnar runs, one per permutation, each
@@ -93,12 +94,11 @@ func (g *Graph) SetVersion(v int64) {
 	g.mu.Unlock()
 }
 
-// NewGraph returns an empty graph with a fresh dictionary, using the
-// process-wide default run codec (see SetDefaultCodec).
+// NewGraph returns an empty graph with a fresh dictionary.
 func NewGraph() *Graph {
 	return &Graph{
 		dict:   rdf.NewDict(),
-		codec:  DefaultCodec().runCodec(),
+		codec:  blockCodec{},
 		adds:   make(map[rdf.EncodedTriple]struct{}),
 		dels:   make(map[rdf.EncodedTriple]struct{}),
 		countS: make(map[rdf.ID]int),

@@ -20,8 +20,8 @@ import (
 //
 // Key 0 is the fence's min key, so a one-key block has an empty payload.
 // Nothing writes this layout any more. Such runs are never served: loading
-// decodes them once through transcode into heap runs of the target codec,
-// which makes decodeVarint the only varint block decoder left.
+// decodes them once through transcode into packed heap runs, which makes
+// decodeVarint the only varint block decoder left.
 
 // decodeVarint expands legacy block bi into the arena, validating the payload
 // as it goes: every varint must be well-formed and in-bounds, every decoded
@@ -73,16 +73,8 @@ func (r *blockRun) decodeVarint(bi int, a *spanArena) error {
 	return nil
 }
 
-// unpackBlock expands packed block bi into the arena; transcode's decoder for
-// packed runs.
-func (r *blockRun) unpackBlock(bi int, a *spanArena) error {
-	m := &r.meta[bi]
-	r.fill(a, m.start, m.start+int(m.count))
-	return nil
-}
-
-// transcode fully decodes a snapshot-loaded run block by block through decode
-// and re-encodes its keys through a builder of codec c. On the way it checks
+// transcode fully decodes a snapshot-loaded legacy run block by block and
+// re-encodes its keys as packed blocks. On the way it checks
 // the structural invariants the run must satisfy: sane counts and starts,
 // monotonic payload offsets, strictly increasing keys within and across
 // blocks, fences that match the decoded content, component IDs inside the
@@ -91,9 +83,8 @@ func (r *blockRun) unpackBlock(bi int, a *spanArena) error {
 // back to SPO order through kind) so the caller can cross-check that the
 // three permutations hold the same triple set, and invokes each for every
 // key in SPO component order when non-nil.
-func transcode(r *blockRun, decode func(bi int, a *spanArena) error, c runCodec,
-	kind permKind, maxID rdf.ID, each func(s, p, o rdf.ID)) (run, uint64, error) {
-	b := c.newBuilder(min(r.n, 1<<20))
+func transcode(r *blockRun, kind permKind, maxID rdf.ID, each func(s, p, o rdf.ID)) (run, uint64, error) {
+	b := blockCodec{}.newBuilder(min(r.n, 1<<20))
 	var a spanArena
 	var sum uint64
 	var prev rdf.EncodedTriple
@@ -109,7 +100,7 @@ func transcode(r *blockRun, decode func(bi int, a *spanArena) error, c runCodec,
 		if bi > 0 && int(m.off) < int(r.meta[bi-1].off) {
 			return nil, 0, fmt.Errorf("block %d: payload offset regresses", bi)
 		}
-		if err := decode(bi, &a); err != nil {
+		if err := r.decodeVarint(bi, &a); err != nil {
 			return nil, 0, err
 		}
 		if a.key(0) != m.min || a.key(a.n-1) != m.max {

@@ -69,13 +69,10 @@ const (
 // SavePaged writes the graph as a paged (v3) snapshot with an explicit page
 // size; Save uses defaultPageSize. Small page sizes keep exhaustive
 // corruption sweeps fast in tests; every page must still fit the largest
-// block payload. Only block-codec graphs have a paged form.
+// block payload.
 func (g *Graph) SavePaged(w io.Writer, pageSize int) error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if g.codec.name() != "block" {
-		return fmt.Errorf("store: paged snapshots require the block codec")
-	}
 	return g.savePagedLocked(w, pageSize)
 }
 
@@ -466,20 +463,18 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID, packed bool) (*bloc
 	return br, int(pageCount), nil
 }
 
-// LoadFile loads a snapshot file into a fresh graph using the process-wide
-// default codec and storage. v3 (paged) snapshots load in O(open): the
-// directory is validated but no payload page is read — under mmap storage the
-// pages fault in on first use; under heap storage the file is read into
-// memory and every block checksum is verified up front. v1/v2 snapshots
-// stream-load on the heap under either storage setting.
+// LoadFile loads a snapshot file into a fresh graph under the process-wide
+// default storage. v3 (paged) snapshots load in O(open): the directory is
+// validated but no payload page is read — under mmap storage the pages fault
+// in on first use; under heap storage the file is read into memory and every
+// block checksum is verified up front. v1/v2 snapshots stream-load on the heap
+// under either storage setting.
 func LoadFile(path string) (*Graph, error) {
-	return LoadFileWith(path, DefaultCodec(), DefaultStorage())
+	return LoadFileWith(path, DefaultStorage())
 }
 
-// LoadFileWith is LoadFile with an explicit target codec and storage. Mmap
-// storage applies only to the (v3, block-codec) combination; a flat-codec
-// target decodes every payload onto the heap regardless.
-func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
+// LoadFileWith is LoadFile with an explicit storage.
+func LoadFileWith(path string, st Storage) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening snapshot: %w", err)
@@ -498,15 +493,15 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 		// stream-load them on the heap (transcoding legacy blocks). The file
 		// is not adopted as a paged source, so the next checkpoint rewrites
 		// it in the current layout.
-		return LoadWithCodec(f, c)
+		return Load(f)
 	}
 	var g *Graph
-	if st == StorageMmap && c == CodecBlock {
+	if st == StorageMmap {
 		data, err := mmapFile(f)
 		if err != nil {
 			return nil, err
 		}
-		if g, err = loadPagedBytes(data, c, StorageMmap); err != nil {
+		if g, err = loadPagedBytes(data, StorageMmap); err != nil {
 			munmapFile(data)
 			return nil, err
 		}
@@ -515,7 +510,7 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: reading snapshot: %w", err)
 		}
-		if g, err = loadPagedBytes(full, c, StorageHeap); err != nil {
+		if g, err = loadPagedBytes(full, StorageHeap); err != nil {
 			return nil, err
 		}
 	}
@@ -530,7 +525,7 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 // the image itself was supplied by the caller. Legacy varint images must come
 // in as StorageHeap: they are transcoded into fresh heap runs and the image
 // is not retained.
-func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
+func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
 	r := bytes.NewReader(full)
 	pos := func() int { return len(full) - r.Len() }
 	var magic [8]byte
@@ -563,7 +558,7 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 	if pageSz64 < minPageSize || pageSz64 > maxPageSize || pageSz64&(pageSz64-1) != 0 {
 		return nil, fmt.Errorf("store: invalid snapshot page size %d", pageSz64)
 	}
-	g := NewGraphWithCodec(c)
+	g := NewGraph()
 	ids, termCount, err := readTerms(r, g)
 	if err != nil {
 		return nil, err
@@ -637,17 +632,13 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 			}
 		}
 	}
-	if !packed || c == CodecFlat {
-		// Legacy payloads, or a flat target: decode everything once through
-		// transcode (validating as v2 does, including the cross-permutation
-		// set digest) into heap runs, and discard the paged form.
+	if !packed {
+		// Legacy payloads: decode everything once through transcode
+		// (validating as v2 does, including the cross-permutation set digest)
+		// into packed heap runs, and discard the paged form.
 		var sums [numPerms]uint64
 		for k := permKind(0); k < numPerms; k++ {
-			br, decode := runs[k], runs[k].unpackBlock
-			if !packed {
-				decode = br.decodeVarint
-			}
-			if g.runs[k], sums[k], err = transcode(br, decode, g.codec, k, maxID, nil); err != nil {
+			if g.runs[k], sums[k], err = transcode(runs[k], k, maxID, nil); err != nil {
 				return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
 			}
 		}

@@ -12,7 +12,7 @@ import (
 func loadPagedGraph(t *testing.T, g *Graph, pageSize int, st Storage) *Graph {
 	t.Helper()
 	path := writeSnapshotFile(t, pagedBytes(t, g, pageSize))
-	loaded, err := LoadFileWith(path, CodecBlock, st)
+	loaded, err := LoadFileWith(path, st)
 	if err != nil {
 		t.Fatalf("loading paged snapshot (%v): %v", st, err)
 	}

@@ -3,9 +3,10 @@ package store
 import "sofos/internal/rdf"
 
 // run is one immutable sorted sequence of permuted triple keys — the storage
-// representation behind a permutation index. Two implementations exist: the
-// original flat []rdf.EncodedTriple layout (flatRun) and the block-compressed
-// layout (blockRun, see block.go). Runs are immutable once built; compaction
+// representation behind a permutation index. Graphs store the bit-packed
+// block layout (blockRun, see block.go); the original flat
+// []rdf.EncodedTriple layout (flatRun) survives only behind FlatOracle, as
+// the test oracle. Runs are immutable once built; compaction
 // and bulk loads replace a graph's runs wholesale through a runBuilder, so a
 // live Iterator can keep reading a replaced run forever.
 //
@@ -56,9 +57,6 @@ type run interface {
 	// boundary (a block start; flat runs return pos unchanged), so Split
 	// partitions never share a block at partition edges.
 	alignSplit(pos int) int
-
-	// clone returns an independent deep copy.
-	clone() run
 }
 
 // runBuilder accumulates sorted keys and emits a run in the builder's codec.
@@ -126,8 +124,8 @@ func (a *spanArena) reset() { a.idx, a.n = 0, 0 }
 const spanChunk = blockSize
 
 // flatCodec is the original fixed-width representation: 12 bytes per key,
-// binary-searchable in place. It remains selectable as the differential-test
-// oracle and the zero-unpack baseline.
+// binary-searchable in place. Only FlatOracle graphs use it, as the
+// differential-test oracle and the zero-unpack benchmark baseline.
 type flatCodec struct{}
 
 func (flatCodec) name() string { return "flat" }
@@ -175,9 +173,27 @@ func (r flatRun) fill(a *spanArena, lo, hi int) {
 
 func (r flatRun) alignSplit(pos int) int { return pos }
 
-func (r flatRun) clone() run {
-	if len(r) == 0 {
-		return flatRun(nil)
+// FlatOracle returns a copy of g whose runs are rebuilt in the flat layout.
+// Like Fork, the copy shares g's dictionary and copies its overlay, component
+// counts and version; its runs live on the heap and stay flat through
+// compaction and bulk loads. Differential tests compare it against block
+// graphs and the codec benchmarks use it as the zero-unpack baseline. Like
+// NestedMapGraph it must not be used outside tests and benchmarks, and it
+// cannot Save: snapshots hold block runs only.
+func FlatOracle(g *Graph) *Graph {
+	f := g.Fork()
+	f.codec = flatCodec{}
+	f.storage, f.pages = StorageHeap, nil
+	f.pagedPath, f.pagedDirty = "", false
+	for k, r := range f.runs {
+		if r == nil {
+			continue
+		}
+		b := f.codec.newBuilder(r.size())
+		for pos := 0; pos < r.size(); pos++ {
+			b.add(r.keyAt(pos))
+		}
+		f.runs[k] = b.finish()
 	}
-	return flatRun(append([]rdf.EncodedTriple(nil), r...))
+	return f
 }

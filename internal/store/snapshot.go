@@ -15,7 +15,8 @@ import (
 // expanded graphs, and durability checkpoints can be saved and reloaded
 // without re-running generators or re-parsing N-Triples.
 //
-// v1 (flat graphs; all integers varint-encoded unless noted):
+// v1 (written by the flat layout, which no graph saves any more; all
+// integers varint-encoded unless noted):
 //
 //	magic "SOFOSGR1" (8 bytes)
 //	termCount
@@ -36,14 +37,13 @@ import (
 //	  blockCount
 //	    per block: count, min (3 ints), max (3 ints), payloadLen, payload
 //
-// Load sniffs the magic, so every version loads under either process codec:
-// v1 data is re-encoded through the target codec's builder; v2 blocks, and v3
-// blocks in the legacy varint layout, are decoded once and re-encoded through
-// the target codec's builder (transcode), which also fully validates them and
-// cross-checks the three permutations with an order-independent hash, so a
-// corrupt snapshot fails loudly instead of serving garbage. v3 — the paged,
-// mmap-able layout block graphs save as — lives in paged.go. Nothing writes
-// v2 any more, but v2 inputs load forever.
+// Save writes only v3, the paged, mmap-able layout (paged.go). Load sniffs the
+// magic, so every version still loads: v1 triples are bulk-loaded into block
+// runs; v2 blocks, and v3 blocks in the legacy varint layout, are decoded once
+// and re-encoded as packed blocks (transcode), which also fully validates them
+// and cross-checks the three permutations with an order-independent hash, so a
+// corrupt snapshot fails loudly instead of serving garbage. Nothing writes v1
+// or v2 any more, but both load forever.
 const (
 	snapshotMagic   = "SOFOSGR1"
 	snapshotMagicV2 = "SOFOSGR2"
@@ -109,7 +109,7 @@ func (w *snapshotWriter) key(t rdf.EncodedTriple) error {
 	return nil
 }
 
-// writeTerms writes the dictionary section shared by both versions.
+// writeTerms writes the dictionary section every version shares.
 func (g *Graph) writeTerms(w *snapshotWriter) error {
 	if err := w.uvarint(uint64(g.dict.Len())); err != nil {
 		return fmt.Errorf("store: writing term count: %w", err)
@@ -134,36 +134,12 @@ func (g *Graph) writeTerms(w *snapshotWriter) error {
 	return nil
 }
 
-// Save writes the graph snapshot to w: v1 for flat graphs, v3 (the paged,
-// mmap-able layout, blocks persisted verbatim) for block graphs.
+// Save writes the graph as a v3 snapshot (the paged, mmap-able layout, blocks
+// persisted verbatim).
 func (g *Graph) Save(w io.Writer) error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if g.codec.name() == "block" {
-		return g.savePagedLocked(w, defaultPageSize)
-	}
-	sw := &snapshotWriter{bw: bufio.NewWriterSize(w, 1<<16)}
-	return g.saveV1Locked(sw)
-}
-
-func (g *Graph) saveV1Locked(w *snapshotWriter) error {
-	if err := w.writeString(snapshotMagic); err != nil {
-		return fmt.Errorf("store: writing snapshot header: %w", err)
-	}
-	if err := g.writeTerms(w); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(g.n)); err != nil {
-		return fmt.Errorf("store: writing triple count: %w", err)
-	}
-	it := g.scanLocked(rdf.NoID, rdf.NoID, rdf.NoID)
-	for it.Next() {
-		s, p, o := it.Triple()
-		if err := w.key(rdf.EncodedTriple{s, p, o}); err != nil {
-			return fmt.Errorf("store: writing triples: %w", err)
-		}
-	}
-	return w.bw.Flush()
+	return g.savePagedLocked(w, defaultPageSize)
 }
 
 // writeOverlays writes the delta-overlay sections (adds then dels),
@@ -189,14 +165,14 @@ func (g *Graph) writeOverlays(w *snapshotWriter) error {
 
 // blockRunsLocked returns the graph's permutation runs as blockRuns, with
 // empty stand-ins for never-written indexes, erroring if the graph holds a
-// different run representation.
+// different run representation (a FlatOracle graph).
 func (g *Graph) blockRunsLocked() ([numPerms]*blockRun, error) {
 	var brs [numPerms]*blockRun
 	for k := permKind(0); k < numPerms; k++ {
 		if g.runs[k] != nil {
 			br, ok := g.runs[k].(*blockRun)
 			if !ok {
-				return brs, fmt.Errorf("store: block-codec graph holds a %T run", g.runs[k])
+				return brs, fmt.Errorf("store: snapshots need block runs, graph holds a %T run", g.runs[k])
 			}
 			brs[k] = br
 		}
@@ -207,15 +183,8 @@ func (g *Graph) blockRunsLocked() ([numPerms]*blockRun, error) {
 	return brs, nil
 }
 
-// Load reads a snapshot written by Save into a fresh graph using the
-// process-wide default codec; either snapshot version loads under either
-// codec.
+// Load reads a snapshot of any version into a fresh graph.
 func Load(r io.Reader) (*Graph, error) {
-	return LoadWithCodec(r, DefaultCodec())
-}
-
-// LoadWithCodec is Load with an explicit target run codec.
-func LoadWithCodec(r io.Reader, c Codec) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -223,9 +192,9 @@ func LoadWithCodec(r io.Reader, c Codec) (*Graph, error) {
 	}
 	switch string(magic) {
 	case snapshotMagic:
-		return loadV1(br, c)
+		return loadV1(br)
 	case snapshotMagicV2:
-		return loadV2(br, c)
+		return loadV2(br)
 	case snapshotMagicV3:
 		// A v3 stream read through an io.Reader loads on the heap; LoadFile
 		// is the entry point that can mmap instead.
@@ -235,7 +204,7 @@ func LoadWithCodec(r io.Reader, c Codec) (*Graph, error) {
 		}
 		full := make([]byte, 0, len(magic)+len(rest))
 		full = append(append(full, magic...), rest...)
-		return loadPagedBytes(full, c, StorageHeap)
+		return loadPagedBytes(full, StorageHeap)
 	default:
 		return nil, fmt.Errorf("store: bad snapshot magic %q", magic)
 	}
@@ -305,8 +274,8 @@ func readTerms(br byteScanner, g *Graph) ([]rdf.ID, uint64, error) {
 	return ids, termCount, nil
 }
 
-func loadV1(br *bufio.Reader, c Codec) (*Graph, error) {
-	g := NewGraphWithCodec(c)
+func loadV1(br *bufio.Reader) (*Graph, error) {
+	g := NewGraph()
 	ids, termCount, err := readTerms(br, g)
 	if err != nil {
 		return nil, err
@@ -349,7 +318,7 @@ func loadV1(br *bufio.Reader, c Codec) (*Graph, error) {
 	return g, nil
 }
 
-func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
+func loadV2(br *bufio.Reader) (*Graph, error) {
 	codecByte, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("store: reading codec: %w", err)
@@ -364,7 +333,7 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 	if blockSz == 0 || blockSz > maxBlockCount {
 		return nil, fmt.Errorf("store: invalid snapshot block size %d", blockSz)
 	}
-	g := NewGraphWithCodec(c)
+	g := NewGraph()
 	ids, termCount, err := readTerms(br, g)
 	if err != nil {
 		return nil, err
@@ -402,7 +371,7 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 				g.countO[o]++
 			}
 		}
-		if g.runs[k], sums[k], err = transcode(r, r.decodeVarint, g.codec, k, maxID, each); err != nil {
+		if g.runs[k], sums[k], err = transcode(r, k, maxID, each); err != nil {
 			return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
 		}
 		sizes[k] = r.n

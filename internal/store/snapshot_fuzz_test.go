@@ -15,7 +15,7 @@ import (
 // covered by the round-trip and differential tests.
 func snapshotBytes(t testing.TB) []byte {
 	t.Helper()
-	g := NewGraphWithCodec(CodecBlock)
+	g := NewGraph()
 	base := randomGraph(rand.New(rand.NewSource(99)), 40).Triples()
 	if _, err := g.LoadTriples(base); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add([]byte(snapshotMagic))
 	f.Add(snapshotBytes(f))
 	var empty bytes.Buffer
-	if err := NewGraphWithCodec(CodecBlock).SavePaged(&empty, minPageSize); err != nil {
+	if err := NewGraph().SavePaged(&empty, minPageSize); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())

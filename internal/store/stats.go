@@ -148,7 +148,8 @@ type IndexMemStats struct {
 }
 
 // MemStats reports the actual resident bytes of the graph's storage, broken
-// down per permutation index, plus the active run codec. Unlike
+// down per permutation index, plus the run codec ("block"; "flat" only for
+// FlatOracle graphs). Unlike
 // EstimatedBytes — which is a codec-independent cost-model quantity the
 // planner and selection variants consume — MemStats measures the real
 // encoding, so the block codec's compression win is observable in /stats.
